@@ -530,7 +530,7 @@ void BM_ChurnedQueryQPS(benchmark::State& state) {
     if (!removed.ok()) state.SkipWithError(removed.ToString().c_str());
   }
   if (compacted) {
-    Status folded = lake.Compact(/*hnsw_rebuild_threshold=*/0.0, &pool);
+    Status folded = lake.Compact(&pool);
     if (!folded.ok()) state.SkipWithError(folded.ToString().c_str());
   }
   for (auto _ : state) {

@@ -139,8 +139,8 @@ int ServeDistributed(const std::string& manifest_path,
               fleet.value().num_workers());
   lake_server.Stop();
   PrintStats(lake_server.stats());
-  // Worker-side view of the same traffic: each public query fans out as
-  // one SHARD_QUERY per worker, so the fleet total is ~requests x workers.
+  // Worker-side view of the same traffic: each coalesced batch fans out as
+  // one SHARD_QUERY per worker, so the fleet total is ~batches x workers.
   const server::DistributedBackend& backend =
       static_cast<const server::DistributedBackend&>(lake_server.backend());
   if (auto worker_stats = backend.index().AggregateStats();

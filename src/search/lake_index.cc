@@ -32,6 +32,19 @@ constexpr uint32_t kFormatVersion = 4;
 constexpr uint32_t kSq8FormatVersion = 3;
 constexpr uint32_t kFloat32FormatVersion = 2;
 
+// Reads `len` bytes into `out` in bounded chunks, so a corrupt length
+// fails at end of file instead of allocating `len` bytes up front.
+bool ReadBytes(std::istream& in, uint64_t len, std::string* out) {
+  char buf[4096];
+  while (out->size() < len) {
+    const auto n = static_cast<std::streamsize>(
+        std::min<uint64_t>(sizeof(buf), len - out->size()));
+    if (!in.read(buf, n)) return false;
+    out->append(buf, static_cast<size_t>(n));
+  }
+  return true;
+}
+
 // The delta segment holds full-precision rows and is scanned exactly —
 // tiny relative to the base, and exactness keeps pre-compaction float32
 // results bit-identical to a from-scratch build.
@@ -61,25 +74,15 @@ void LakeIndex::MoveFieldsFrom(LakeIndex&& other) {
   dead_tables_ = other.dead_tables_;
   dead_base_columns_ = other.dead_base_columns_;
   dead_delta_columns_ = other.dead_delta_columns_;
-  compactions_ = other.compactions_;
   handles_by_id_ = std::move(other.handles_by_id_);
+  compacted_ = std::move(other.compacted_);
 }
 
+// Locks are not movable and a move must not overlap any other operation on
+// either operand, so the new index simply re-arms a fresh one.
 LakeIndex::LakeIndex(LakeIndex&& other) noexcept
-    : dim_(other.dim_), index_(std::move(other.index_)) {
-  // Locks are not movable and a move must not overlap any other operation
-  // on either operand, so the new index simply re-arms fresh ones.
-  table_ids_ = std::move(other.table_ids_);
-  columns_ = std::move(other.columns_);
-  sealed_ = other.sealed_;
-  base_tables_ = other.base_tables_;
-  delta_ = std::move(other.delta_);
-  dead_ = std::move(other.dead_);
-  dead_tables_ = other.dead_tables_;
-  dead_base_columns_ = other.dead_base_columns_;
-  dead_delta_columns_ = other.dead_delta_columns_;
-  compactions_ = other.compactions_;
-  handles_by_id_ = std::move(other.handles_by_id_);
+    : dim_(other.dim_), index_(other.dim_) {
+  MoveFieldsFrom(std::move(other));
 }
 
 LakeIndex& LakeIndex::operator=(LakeIndex&& other) noexcept {
@@ -92,7 +95,6 @@ size_t LakeIndex::AddTable(const std::string& table_id,
   for (const auto& col : column_embeddings) {
     TSFM_CHECK_EQ(col.size(), dim_);
   }
-  MutexLock writer(&writer_mu_);
   WriterMutexLock lock(&mu_);
   size_t handle = table_ids_.size();
   table_ids_.push_back(table_id);
@@ -113,7 +115,6 @@ size_t LakeIndex::AddTable(const std::string& table_id,
 }
 
 Status LakeIndex::RemoveTable(const std::string& table_id) {
-  MutexLock writer(&writer_mu_);
   WriterMutexLock lock(&mu_);
   auto it = handles_by_id_.find(table_id);
   if (it != handles_by_id_.end()) {
@@ -140,138 +141,67 @@ Status LakeIndex::RemoveTable(const std::string& table_id) {
 }
 
 void LakeIndex::Seal() {
-  MutexLock writer(&writer_mu_);
   WriterMutexLock lock(&mu_);
   sealed_ = true;
 }
 
-bool LakeIndex::WouldFoldInPlace(double hnsw_rebuild_threshold) const {
-  ReaderMutexLock lock(&mu_);
-  if (index_.options().backend != IndexBackend::kHnsw) return false;
-  if (hnsw_rebuild_threshold <= 0.0) return false;
-  if (table_ids_.empty()) return false;
-  const double ratio = static_cast<double>(dead_tables_) /
-                       static_cast<double>(table_ids_.size());
-  return ratio <= hnsw_rebuild_threshold;
-}
-
-void LakeIndex::FoldDeltaInPlace() {
-  MutexLock writer(&writer_mu_);
-  WriterMutexLock lock(&mu_);
-  for (size_t handle = base_tables_; handle < table_ids_.size(); ++handle) {
-    index_.AddTable(handle, columns_[handle]);
-  }
-  base_tables_ = table_ids_.size();
-  dead_base_columns_ += dead_delta_columns_;
-  dead_delta_columns_ = 0;
-  delta_.reset();
-  sealed_ = true;
-  ++compactions_;
-}
-
-LakeIndex::Compacted LakeIndex::BuildCompacted() const {
-  // The caller excludes mutations (it holds this index's writer_mu_ via
-  // Compact, or the sharded writer lock), so the shared lock taken here
-  // never contends with an exclusive waiter — it exists to pin the fields
-  // read below for the duration of the rebuild, same as any query.
-  ReaderMutexLock lock(&mu_);
-  Compacted out{LakeIndex(dim_, index_.options()),
-                std::vector<size_t>(table_ids_.size(), SIZE_MAX)};
-  for (size_t handle = 0; handle < table_ids_.size(); ++handle) {
-    if (dead_[handle] != 0) continue;
-    // Survivors keep their relative insertion order, so re-densified
-    // handles tie-break Fig 6 ranks exactly like a from-scratch build.
-    out.remap[handle] = out.index.AddTable(table_ids_[handle], columns_[handle]);
-  }
-  out.index.Seal();
-  return out;
-}
-
-void LakeIndex::AdoptLocked(LakeIndex&& other) {
-  const uint64_t done = compactions_ + 1;
-  MoveFieldsFrom(std::move(other));
-  compactions_ = done;
-}
-
-Status LakeIndex::Compact(double hnsw_rebuild_threshold) {
+Result<std::vector<size_t>> LakeIndex::PrepareCompaction() {
+  std::vector<size_t> remap;
+  std::unique_ptr<LakeIndex> image;
   {
-    MutexLock writer(&writer_mu_);
-    bool churned;
-    {
-      ReaderMutexLock lock(&mu_);
-      churned = ChurnedLocked();
-    }
-    if (!churned) {
-      // Nothing to fold; still seal (a compacted lake serves live churn)
-      // and count the pass so callers can observe it completed.
-      WriterMutexLock lock(&mu_);
-      sealed_ = true;
-      ++compactions_;
-      return Status::OK();
+    // The coordinator excludes mutations until the commit, so the state
+    // read here is what the commit replaces; the shared lock keeps queries
+    // flowing during the rebuild.
+    ReaderMutexLock lock(&mu_);
+    remap.resize(table_ids_.size(), SIZE_MAX);
+    if (!ChurnedLocked()) {
+      for (size_t handle = 0; handle < remap.size(); ++handle) {
+        remap[handle] = handle;
+      }
+    } else {
+      image = std::make_unique<LakeIndex>(dim_, index_.options());
+      for (size_t handle = 0; handle < table_ids_.size(); ++handle) {
+        if (dead_[handle] != 0) continue;
+        // Survivors keep their relative insertion order, so re-densified
+        // handles tie-break Fig 6 ranks exactly like a from-scratch build.
+        remap[handle] = image->AddTable(table_ids_[handle], columns_[handle]);
+      }
     }
   }
-  if (WouldFoldInPlace(hnsw_rebuild_threshold)) {
-    FoldDeltaInPlace();
-    return Status::OK();
-  }
-  MutexLock writer(&writer_mu_);
-  // The expensive rebuild runs while queries continue against the old
-  // segments; only the swap below excludes them.
-  Compacted compacted = BuildCompacted();
   WriterMutexLock lock(&mu_);
-  AdoptLocked(std::move(compacted.index));
+  compacted_ = std::move(image);
+  return remap;
+}
+
+Status LakeIndex::CommitCompaction() {
+  WriterMutexLock lock(&mu_);
+  if (compacted_ != nullptr) {
+    std::unique_ptr<LakeIndex> image = std::move(compacted_);
+    MoveFieldsFrom(std::move(*image));
+  }
+  // A compacted lake serves live churn: later adds go to a delta segment.
+  sealed_ = true;
   return Status::OK();
 }
 
-size_t LakeIndex::num_tables() const {
+Result<std::vector<std::string>> LakeIndex::TableIds() const {
   ReaderMutexLock lock(&mu_);
-  return table_ids_.size();
+  return table_ids_;
 }
 
-bool LakeIndex::churned() const {
+ShardCounts LakeIndex::Counts() const {
   ReaderMutexLock lock(&mu_);
-  return ChurnedLocked();
+  ShardCounts counts;
+  counts.tables = table_ids_.size();
+  counts.live_tables = table_ids_.size() - dead_tables_;
+  counts.columns =
+      index_.num_columns() + (delta_ != nullptr ? delta_->num_columns() : 0);
+  counts.pending_delta_tables = table_ids_.size() - base_tables_;
+  counts.pending_tombstones = dead_tables_;
+  return counts;
 }
 
-size_t LakeIndex::num_live_tables() const {
-  ReaderMutexLock lock(&mu_);
-  return table_ids_.size() - dead_tables_;
-}
-
-size_t LakeIndex::num_columns() const {
-  ReaderMutexLock lock(&mu_);
-  return index_.num_columns() + (delta_ != nullptr ? delta_->num_columns() : 0);
-}
-
-size_t LakeIndex::pending_delta_tables() const {
-  ReaderMutexLock lock(&mu_);
-  return table_ids_.size() - base_tables_;
-}
-
-size_t LakeIndex::pending_tombstones() const {
-  ReaderMutexLock lock(&mu_);
-  return dead_tables_;
-}
-
-uint64_t LakeIndex::compactions() const {
-  ReaderMutexLock lock(&mu_);
-  return compactions_;
-}
-
-std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
-                                        const std::vector<size_t>& handles,
-                                        size_t k) {
-  std::vector<std::string> out;
-  out.reserve(std::min(k, handles.size()));
-  for (size_t handle : handles) {
-    if (out.size() >= k) break;
-    out.push_back(table_ids[handle]);
-  }
-  return out;
-}
-
-void LakeIndex::FilterDeadLocked(
-    std::vector<ColumnEmbeddingIndex::ColumnHit>* hits, size_t m) const {
+void LakeIndex::FilterDeadLocked(ColumnHits* hits, size_t m) const {
   // Open-coded remove_if: a predicate lambda would read dead_ from a
   // function the thread-safety analysis treats as unlocked.
   size_t kept = 0;
@@ -283,47 +213,27 @@ void LakeIndex::FilterDeadLocked(
   hits->resize(std::min(kept, m));
 }
 
-std::vector<ColumnEmbeddingIndex::ColumnHit> LakeIndex::SearchColumnsLocked(
-    const std::vector<float>& query, size_t m) const {
-  if (!ChurnedLocked()) return index_.SearchColumns(query, m);
+Result<std::vector<ColumnHits>> LakeIndex::SearchColumnsBatch(
+    const std::vector<std::vector<float>>& queries, size_t m,
+    ThreadPool* pool) const {
+  ReaderMutexLock lock(&mu_);
+  if (!ChurnedLocked()) return index_.SearchColumnsBatch(queries, m, pool);
   // Over-fetch by the tombstoned-column count: at most that many of the
   // top slots can be dead, so filtering still leaves m live hits whenever
   // m live columns exist (exact for flat scans; HNSW is approximate
   // regardless, and the budget keeps its candidate frontier honest).
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists;
-  lists.push_back(index_.SearchColumns(query, m + dead_base_columns_));
-  FilterDeadLocked(&lists.back(), m);
+  auto base = index_.SearchColumnsBatch(queries, m + dead_base_columns_, pool);
+  std::vector<ColumnHits> delta;
   if (delta_ != nullptr) {
-    lists.push_back(delta_->SearchColumns(query, m + dead_delta_columns_));
-    FilterDeadLocked(&lists.back(), m);
+    delta = delta_->SearchColumnsBatch(queries, m + dead_delta_columns_, pool);
   }
   // Base handles precede delta handles, and both lists are sorted by
   // (distance, table, column), so the merge equals one sorted scan over
   // all live columns — bit-identical to an unchurned flat index holding
   // the same live tables under the same handles.
-  return TableRanker::MergeColumnHits(lists, m);
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit> LakeIndex::SearchColumns(
-    const std::vector<float>& query, size_t m) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnsLocked(query, m);
-}
-
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-LakeIndex::SearchColumnsBatchLocked(
-    const std::vector<std::vector<float>>& queries, size_t m,
-    ThreadPool* pool) const {
-  if (!ChurnedLocked()) return index_.SearchColumnsBatch(queries, m, pool);
-  auto base = index_.SearchColumnsBatch(queries, m + dead_base_columns_, pool);
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> delta;
-  if (delta_ != nullptr) {
-    delta = delta_->SearchColumnsBatch(queries, m + dead_delta_columns_, pool);
-  }
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> merged(
-      queries.size());
+  std::vector<ColumnHits> merged(queries.size());
   for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists;
+    std::vector<ColumnHits> lists;
     lists.push_back(std::move(base[q]));
     FilterDeadLocked(&lists.back(), m);
     if (!delta.empty()) {
@@ -333,114 +243,6 @@ LakeIndex::SearchColumnsBatchLocked(
     merged[q] = TableRanker::MergeColumnHits(lists, m);
   }
   return merged;
-}
-
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-LakeIndex::SearchColumnsBatch(const std::vector<std::vector<float>>& queries,
-                              size_t m, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnsBatchLocked(queries, m, pool);
-}
-
-std::vector<std::string> LakeIndex::QueryUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    // SIZE_MAX: external queries are not part of the corpus; exclude nothing.
-    return RankedTableIds(
-        table_ids_, ranker.RankTables(query_columns, k, /*exclude=*/SIZE_MAX),
-        k);
-  }
-  // Same k*3 over-retrieval and RANK1/RANK2 aggregation as the unchurned
-  // path, with the churn-aware candidate search underneath.
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& qcol : query_columns) {
-    per_column_hits.push_back(SearchColumnsLocked(qcol, k * 3));
-  }
-  return RankedTableIds(
-      table_ids_,
-      TableRanker::RankFromColumnHits(per_column_hits, /*exclude=*/SIZE_MAX),
-      k);
-}
-
-std::vector<std::string> LakeIndex::QueryJoinable(
-    const std::vector<float>& query_column, size_t k) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    return RankedTableIds(
-        table_ids_,
-        ranker.RankTablesByColumn(query_column, k, /*exclude=*/SIZE_MAX), k);
-  }
-  return RankedTableIds(table_ids_,
-                        TableRanker::RankFromSingleColumnHits(
-                            SearchColumnsLocked(query_column, k * 3),
-                            /*exclude=*/SIZE_MAX),
-                        k);
-}
-
-std::vector<std::vector<std::string>> LakeIndex::QueryUnionableBatch(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    auto ranked = ranker.RankTablesBatch(queries, k, /*excludes=*/{}, pool);
-    std::vector<std::vector<std::string>> out(ranked.size());
-    for (size_t q = 0; q < ranked.size(); ++q) {
-      out[q] = RankedTableIds(table_ids_, ranked[q], k);
-    }
-    return out;
-  }
-  // Flatten every query's columns into one batched candidate search (the
-  // same shape ShardedLakeIndex uses), then aggregate per query.
-  std::vector<size_t> offset(queries.size() + 1, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    offset[q + 1] = offset[q] + queries[q].size();
-  }
-  std::vector<std::vector<float>> flat;
-  flat.reserve(offset.back());
-  for (const auto& query : queries) {
-    flat.insert(flat.end(), query.begin(), query.end());
-  }
-  auto hits = SearchColumnsBatchLocked(flat, k * 3, pool);
-  std::vector<std::vector<std::string>> out(queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column(
-        std::make_move_iterator(hits.begin() + offset[q]),
-        std::make_move_iterator(hits.begin() + offset[q + 1]));
-    out[q] = RankedTableIds(
-        table_ids_,
-        TableRanker::RankFromColumnHits(per_column, /*exclude=*/SIZE_MAX), k);
-  }
-  return out;
-}
-
-std::vector<std::vector<std::string>> LakeIndex::QueryJoinableBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  if (!ChurnedLocked()) {
-    TableRanker ranker(&index_);
-    auto ranked =
-        ranker.RankTablesByColumnBatch(query_columns, k, /*excludes=*/{}, pool);
-    std::vector<std::vector<std::string>> out(ranked.size());
-    for (size_t q = 0; q < ranked.size(); ++q) {
-      out[q] = RankedTableIds(table_ids_, ranked[q], k);
-    }
-    return out;
-  }
-  auto hits = SearchColumnsBatchLocked(query_columns, k * 3, pool);
-  std::vector<std::vector<std::string>> out(query_columns.size());
-  for (size_t q = 0; q < query_columns.size(); ++q) {
-    out[q] = RankedTableIds(table_ids_,
-                            TableRanker::RankFromSingleColumnHits(
-                                hits[q], /*exclude=*/SIZE_MAX),
-                            k);
-  }
-  return out;
 }
 
 Status LakeIndex::Save(const std::string& path) const {
@@ -587,19 +389,23 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
   }
   for (uint64_t t = 0; t < num_tables; ++t) {
     if (t == base_tables) index.Seal();
+    // Ids and columns grow as their bytes arrive: a corrupt count ends in
+    // a truncation Status at end of file, never an allocation of its size.
     uint64_t id_len = 0, num_cols = 0;
-    if (!ReadPod(in, &id_len)) return Status::IoError("truncated lake index " + path);
-    std::string id(id_len, '\0');
-    in.read(id.data(), static_cast<std::streamsize>(id_len));
-    if (!ReadPod(in, &num_cols)) {
+    std::string id;
+    if (!ReadPod(in, &id_len) || !ReadBytes(in, id_len, &id) ||
+        !ReadPod(in, &num_cols)) {
       return Status::IoError("truncated lake index " + path);
     }
-    std::vector<std::vector<float>> cols(num_cols, std::vector<float>(dim));
-    for (auto& col : cols) {
-      in.read(reinterpret_cast<char*>(col.data()),
-              static_cast<std::streamsize>(dim * sizeof(float)));
+    std::vector<std::vector<float>> cols;
+    for (uint64_t c = 0; c < num_cols; ++c) {
+      std::vector<float> col(dim);
+      if (!in.read(reinterpret_cast<char*>(col.data()),
+                   static_cast<std::streamsize>(dim * sizeof(float)))) {
+        return Status::IoError("truncated lake index " + path);
+      }
+      cols.push_back(std::move(col));
     }
-    if (!in) return Status::IoError("truncated lake index " + path);
     index.AddTable(id, cols);
   }
   // Replay the tombstones directly: RemoveTable's newest-live-first rule

@@ -1,5 +1,6 @@
 #include "search/lake_manifest.h"
 
+#include <algorithm>
 #include <fstream>
 
 #include "search/stream_io.h"
@@ -129,8 +130,13 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
   if (!ReadPod(in, &num_tables) || num_tables > (1ull << 32)) {
     return Status::IoError("truncated lake manifest " + path);
   }
-  manifest.locator.resize(num_tables);
-  for (auto& [shard, local] : manifest.locator) {
+  // Records are appended as they arrive (reserve capped like the
+  // tombstone reader's), so a corrupt count ends in a truncation Status,
+  // not an allocation of its size.
+  manifest.locator.reserve(std::min<uint64_t>(num_tables, 1024));
+  for (uint64_t t = 0; t < num_tables; ++t) {
+    uint32_t shard = 0;
+    uint64_t local = 0;
     if (!ReadPod(in, &shard) || !ReadPod(in, &local)) {
       return Status::IoError("truncated lake manifest " + path);
     }
@@ -138,6 +144,7 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
       return Status::ParseError("lake manifest " + path +
                                 " routes a table to a nonexistent shard");
     }
+    manifest.locator.emplace_back(shard, local);
   }
   if (manifest.churned) {
     if (manifest.live_tables > num_tables) {

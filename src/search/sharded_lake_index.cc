@@ -7,14 +7,12 @@
 #include <iterator>
 #include <optional>
 
-#include "search/lake_manifest.h"
 #include "search/table_ranker.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
-
 
 namespace {
 
@@ -28,21 +26,55 @@ IndexOptions NormalizeShardStorage(IndexOptions options) {
   return options;
 }
 
-}  // namespace
-
-ShardedLakeIndex::ShardedLakeIndex(size_t dim, size_t num_shards,
-                                   const IndexOptions& options)
-    : dim_(dim), options_(NormalizeShardStorage(options)) {
-  num_shards = std::max<size_t>(1, num_shards);
-  shards_.reserve(num_shards);
-  to_global_.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) shards_.emplace_back(dim, options_);
+// Flattens every query's columns into one batch; query q owns columns
+// [offset[q], offset[q + 1]).
+std::vector<std::vector<float>> Flatten(
+    const std::vector<std::vector<std::vector<float>>>& queries,
+    std::vector<size_t>* offset) {
+  offset->assign(1, 0);
+  for (const auto& query : queries) offset->push_back(offset->back() + query.size());
+  std::vector<std::vector<float>> flat;
+  flat.reserve(offset->back());
+  for (const auto& query : queries) {
+    flat.insert(flat.end(), query.begin(), query.end());
+  }
+  return flat;
 }
 
-ShardedLakeIndex::ShardedLakeIndex(size_t dim, const IndexOptions& options)
-    : dim_(dim), options_(NormalizeShardStorage(options)) {}
+// Maps ranked table handles to their string ids, truncated to `k`.
+std::vector<std::string> RankedTableIds(const std::vector<std::string>& table_ids,
+                                        const std::vector<size_t>& handles,
+                                        size_t k) {
+  std::vector<std::string> out;
+  out.reserve(std::min(k, handles.size()));
+  for (size_t handle : handles) {
+    if (out.size() >= k) break;
+    out.push_back(table_ids[handle]);
+  }
+  return out;
+}
 
-void ShardedLakeIndex::MoveFieldsFrom(ShardedLakeIndex&& other) {
+// In-process shards never fail, so an error here is a bug, not a
+// condition for the caller to handle.
+template <typename T>
+T Must(Result<T> result) {
+  TSFM_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
+
+}  // namespace
+
+LakeCoordinator::LakeCoordinator(size_t dim, const IndexOptions& options,
+                                 std::vector<std::unique_ptr<Shard>> shards)
+    : dim_(dim),
+      options_(NormalizeShardStorage(options)),
+      shards_(std::move(shards)) {
+  to_global_.resize(shards_.size());
+}
+
+LakeCoordinator::~LakeCoordinator() = default;
+
+void LakeCoordinator::MoveFieldsFrom(LakeCoordinator&& other) {
   dim_ = other.dim_;
   options_ = other.options_;
   shards_ = std::move(other.shards_);
@@ -52,117 +84,207 @@ void ShardedLakeIndex::MoveFieldsFrom(ShardedLakeIndex&& other) {
   compactions_ = other.compactions_;
 }
 
-ShardedLakeIndex::ShardedLakeIndex(ShardedLakeIndex&& other) noexcept
-    : dim_(other.dim_), options_(other.options_) {
+LakeCoordinator::LakeCoordinator(LakeCoordinator&& other) noexcept
+    : dim_(other.dim_) {
   MoveFieldsFrom(std::move(other));
 }
 
-ShardedLakeIndex& ShardedLakeIndex::operator=(
-    ShardedLakeIndex&& other) noexcept {
+LakeCoordinator& LakeCoordinator::operator=(LakeCoordinator&& other) noexcept {
   if (this != &other) MoveFieldsFrom(std::move(other));
   return *this;
 }
 
-ShardedLakeIndex ShardedLakeIndex::FromSingle(LakeIndex&& shard) {
-  ShardedLakeIndex index(shard.dim(), shard.options());
-  {
-    // `index` is not visible to any other thread yet; the lock is
-    // uncontended and exists for the checker.
-    WriterMutexLock lock(&index.mu_);
-    index.shards_.push_back(std::move(shard));
-    index.to_global_.resize(1);
-    index.IndexShardTables(0);
-  }
-  return index;
-}
-
-void ShardedLakeIndex::IndexShardTables(size_t s) {
-  const LakeIndex& shard = shards_[s];
-  for (size_t local = to_global_[s].size(); local < shard.num_tables(); ++local) {
-    size_t handle = global_ids_.size();
-    global_ids_.push_back(shard.table_id(local));
-    locator_.emplace_back(s, local);
-    to_global_[s].push_back(handle);
+template <typename Fn>
+void LakeCoordinator::ForEachShard(ThreadPool* pool, Fn&& fn) const {
+  if (pool != nullptr && shards_.size() > 1) {
+    ParallelFor(pool, 0, shards_.size(), fn);
+  } else {
+    for (size_t s = 0; s < shards_.size(); ++s) fn(s);
   }
 }
 
-size_t ShardedLakeIndex::ShardOfLocked(const std::string& table_id) const {
+size_t LakeCoordinator::shard_of(const std::string& table_id) const {
   return StableShard(table_id, shards_.size());
 }
 
-size_t ShardedLakeIndex::shard_of(const std::string& table_id) const {
-  ReaderMutexLock lock(&mu_);
-  return ShardOfLocked(table_id);
-}
+// ------------------------------------------------------------------ queries
 
-size_t ShardedLakeIndex::AddTable(
-    const std::string& table_id,
-    const std::vector<std::vector<float>>& column_embeddings) {
-  MutexLock writer(&writer_mu_);
-  // The shard add and the global-map append publish together under one
-  // exclusive section, so an in-flight query (which pins the maps with a
-  // shared lock for its whole scatter) can never see a shard hit whose
-  // local handle lacks a to_global_ entry.
-  WriterMutexLock lock(&mu_);
-  const size_t s = ShardOfLocked(table_id);
-  const size_t local = shards_[s].AddTable(table_id, column_embeddings);
-  const size_t handle = global_ids_.size();
-  global_ids_.push_back(table_id);
-  locator_.emplace_back(s, local);
-  TSFM_CHECK_EQ(to_global_[s].size(), local);
-  to_global_[s].push_back(handle);
-  return handle;
-}
-
-Status ShardedLakeIndex::RemoveTable(const std::string& table_id) {
-  MutexLock writer(&writer_mu_);
-  // A tombstone changes no global maps (the handle stays allocated until
-  // the next full compaction), so the shard's own locking suffices for
-  // query consistency — a shared lock here keeps the shard set pinned.
-  ReaderMutexLock lock(&mu_);
-  return shards_[ShardOfLocked(table_id)].RemoveTable(table_id);
-}
-
-void ShardedLakeIndex::Seal() {
-  MutexLock writer(&writer_mu_);
-  ReaderMutexLock lock(&mu_);
-  for (LakeIndex& shard : shards_) shard.Seal();
-}
-
-Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
-                                 ThreadPool* pool) {
-  MutexLock writer(&writer_mu_);
-
-  // Phase A, shared-lock: queries keep running against the old epoch while
-  // every churned shard that needs a full rebuild builds its compacted
-  // image (survivors re-added in insertion order — the churn-parity
-  // contract). writer_mu_ excludes mutations, so the shard state read
-  // here cannot move underneath; the shared lock makes that visible to
-  // the checker and costs nothing (readers never block readers).
-  std::vector<std::optional<LakeIndex::Compacted>> built;
-  {
-    ReaderMutexLock lock(&mu_);
-    built.resize(shards_.size());
-    // The build lambda runs on pool threads, where the analysis cannot see
-    // this frame's shared lock; bind the guarded field to a plain alias
-    // under the lock and capture that instead.
-    const std::vector<LakeIndex>& shards = shards_;
-    auto build_shard = [&](size_t s) {
-      if (shards[s].churned() &&
-          !shards[s].WouldFoldInPlace(hnsw_rebuild_threshold)) {
-        built[s] = shards[s].BuildCompacted();
+Result<std::vector<ColumnHits>> LakeCoordinator::SearchColumnHitsBatchLocked(
+    const std::vector<std::vector<float>>& queries, size_t m,
+    ThreadPool* pool) const {
+  // The search lambda runs on pool threads, invisible to this frame's
+  // shared lock; bind the guarded map to an alias under the lock and
+  // capture that (see the concurrency contract in docs/architecture.md).
+  const std::vector<std::vector<size_t>>& to_global = to_global_;
+  std::vector<Result<std::vector<ColumnHits>>> per_shard(
+      shards_.size(), Status::Internal("shard not queried"));
+  // ParallelFor is nest-safe (util/thread_pool.h), so the shard fan-out and
+  // each shard's own query-chunk fan-out share one pool.
+  ForEachShard(pool, [&](size_t s) {
+    Result<std::vector<ColumnHits>> lists =
+        shards_[s]->SearchColumnsBatch(queries, m, pool);
+    if (lists.ok()) {
+      // Local handles are assigned in insertion order, so the remap is
+      // monotone and each list stays sorted by (distance, table, column).
+      for (ColumnHits& hits : lists.value()) {
+        for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
       }
-    };
-    if (pool != nullptr && shards.size() > 1) {
-      ParallelFor(pool, 0, shards.size(), build_shard);
-    } else {
-      for (size_t s = 0; s < shards.size(); ++s) build_shard(s);
+    }
+    per_shard[s] = std::move(lists);
+  });
+  for (const auto& lists : per_shard) {
+    if (!lists.ok()) return lists.status();
+  }
+  std::vector<ColumnHits> merged(queries.size());
+  std::vector<ColumnHits> heads(shards_.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      heads[s] = std::move(per_shard[s].value()[q]);
+    }
+    merged[q] = TableRanker::MergeColumnHits(heads, m);
+  }
+  return merged;
+}
+
+Result<std::vector<ColumnHits>> LakeCoordinator::SearchColumnHitsBatch(
+    const std::vector<std::vector<float>>& queries, size_t m,
+    ThreadPool* pool) const {
+  ReaderMutexLock lock(&mu_);
+  return SearchColumnHitsBatchLocked(queries, m, pool);
+}
+
+Result<std::vector<std::vector<size_t>>> LakeCoordinator::Rank(
+    const std::vector<std::vector<float>>& columns,
+    const std::vector<size_t>* offset, size_t k,
+    const std::vector<size_t>& excludes, ThreadPool* pool,
+    std::vector<std::vector<std::string>>* ids) const {
+  // One epoch from scatter to id gather: a concurrent compaction swaps the
+  // maps under the exclusive side of this lock.
+  ReaderMutexLock lock(&mu_);
+  // Fig 6: each query column over-retrieves k * 3 candidate columns.
+  auto hits = SearchColumnHitsBatchLocked(columns, k * 3, pool);
+  if (!hits.ok()) return hits.status();
+  const size_t num_queries =
+      offset != nullptr ? offset->size() - 1 : columns.size();
+  std::vector<std::vector<size_t>> ranked(num_queries);
+  for (size_t q = 0; q < num_queries; ++q) {
+    const size_t exclude = q < excludes.size() ? excludes[q] : SIZE_MAX;
+    if (offset == nullptr) {
+      ranked[q] =
+          TableRanker::RankFromSingleColumnHits(hits.value()[q], exclude);
+      continue;
+    }
+    const std::vector<ColumnHits> per_column(
+        std::make_move_iterator(hits.value().begin() + (*offset)[q]),
+        std::make_move_iterator(hits.value().begin() + (*offset)[q + 1]));
+    ranked[q] = TableRanker::RankFromColumnHits(per_column, exclude);
+  }
+  if (ids != nullptr) {
+    ids->resize(num_queries);
+    for (size_t q = 0; q < num_queries; ++q) {
+      (*ids)[q] = RankedTableIds(global_ids_, ranked[q], k);
     }
   }
+  return ranked;
+}
 
-  // Phase B, exclusive: swap rebuilt shards, fold the rest in place, and
-  // re-densify the global handle maps — one atomic epoch change.
+Result<std::vector<std::vector<std::string>>>
+LakeCoordinator::QueryJoinableBatch(
+    const std::vector<std::vector<float>>& query_columns, size_t k,
+    ThreadPool* pool) const {
+  std::vector<std::vector<std::string>> ids;
+  auto ranked = Rank(query_columns, nullptr, k, /*excludes=*/{}, pool, &ids);
+  if (!ranked.ok()) return ranked.status();
+  return ids;
+}
+
+Result<std::vector<std::vector<std::string>>>
+LakeCoordinator::QueryUnionableBatch(
+    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
+    ThreadPool* pool) const {
+  std::vector<size_t> offset;
+  const auto flat = Flatten(queries, &offset);
+  std::vector<std::vector<std::string>> ids;
+  auto ranked = Rank(flat, &offset, k, /*excludes=*/{}, pool, &ids);
+  if (!ranked.ok()) return ranked.status();
+  return ids;
+}
+
+Result<std::vector<std::string>> LakeCoordinator::QueryJoinable(
+    const std::vector<float>& query_column, size_t k, ThreadPool* pool) const {
+  auto batch = QueryJoinableBatch({query_column}, k, pool);
+  if (!batch.ok()) return batch.status();
+  return std::move(batch.value()[0]);
+}
+
+Result<std::vector<std::string>> LakeCoordinator::QueryUnionable(
+    const std::vector<std::vector<float>>& query_columns, size_t k,
+    ThreadPool* pool) const {
+  auto batch = QueryUnionableBatch({query_columns}, k, pool);
+  if (!batch.ok()) return batch.status();
+  return std::move(batch.value()[0]);
+}
+
+// ---------------------------------------------------------------- mutations
+
+Status LakeCoordinator::MutationGate() const {
+  for (const auto& shard : shards_) {
+    if (Status status = shard->Writable(); !status.ok()) return status;
+  }
+  return Status::OK();
+}
+
+Status LakeCoordinator::AddTable(
+    const std::string& table_id,
+    const std::vector<std::vector<float>>& columns, size_t* handle) {
+  MutexLock writer(&writer_mu_);
+  if (Status status = MutationGate(); !status.ok()) return status;
+  const size_t s = shard_of(table_id);
+  // The shard add and the map append publish together under one exclusive
+  // section, so an in-flight query (which pins the maps with a shared lock
+  // for its whole scatter) never sees a shard hit whose local handle lacks
+  // a global one.
   WriterMutexLock lock(&mu_);
+  Result<size_t> local = shards_[s]->Add(table_id, columns);
+  if (!local.ok()) return local.status();
+  TSFM_CHECK_EQ(to_global_[s].size(), local.value());
+  if (handle != nullptr) *handle = global_ids_.size();
+  to_global_[s].push_back(global_ids_.size());
+  locator_.emplace_back(s, local.value());
+  global_ids_.push_back(table_id);
+  return Status::OK();
+}
+
+Status LakeCoordinator::RemoveTable(const std::string& table_id) {
+  MutexLock writer(&writer_mu_);
+  if (Status status = MutationGate(); !status.ok()) return status;
+  // A tombstone changes no global maps (the handle stays allocated until
+  // the next compaction) and its shard applies it atomically, so queries
+  // keep running: each sees the table either live or gone.
+  return shards_[shard_of(table_id)]->RemoveTable(table_id);
+}
+
+Status LakeCoordinator::Compact(ThreadPool* pool) {
+  MutexLock writer(&writer_mu_);
+  if (Status status = MutationGate(); !status.ok()) return status;
+
+  // Prepare: the expensive rebuilds run while queries keep reading the
+  // current epoch; writer_mu_ keeps every shard as prepared until commit.
+  std::vector<Result<std::vector<size_t>>> remaps(
+      shards_.size(), Status::Internal("shard not prepared"));
+  ForEachShard(pool,
+               [&](size_t s) { remaps[s] = shards_[s]->PrepareCompaction(); });
+  for (const auto& remap : remaps) {
+    if (!remap.ok()) return remap.status();
+  }
+
+  // Commit: every shard's new handle space and the re-densified maps
+  // change in one exclusive section, so no query can pair one epoch's hits
+  // with the other epoch's maps.
+  WriterMutexLock lock(&mu_);
+  std::vector<Status> committed(shards_.size());
+  ForEachShard(pool,
+               [&](size_t s) { committed[s] = shards_[s]->CommitCompaction(); });
   std::vector<std::string> new_ids;
   std::vector<std::pair<size_t, size_t>> new_locator;
   std::vector<std::vector<size_t>> new_to_global(shards_.size());
@@ -170,295 +292,227 @@ Status ShardedLakeIndex::Compact(double hnsw_rebuild_threshold,
   new_locator.reserve(global_ids_.size());
   for (size_t h = 0; h < global_ids_.size(); ++h) {
     const auto [s, local] = locator_[h];
-    size_t new_local = local;
-    if (built[s].has_value()) {
-      new_local = built[s]->remap[local];
-      if (new_local == SIZE_MAX) continue;  // tombstoned; handle retired
-    }
-    // Surviving locals keep their relative order, so the new maps stay
-    // dense per shard and global order matches a from-scratch build.
+    // A shard whose commit failed keeps its handle space, tombstones
+    // included (the shard still filters them).
+    const size_t new_local = committed[s].ok() ? remaps[s].value()[local] : local;
+    if (new_local == SIZE_MAX) continue;  // tombstoned; handle retired
+    // Survivors keep their relative order, so the new maps stay dense per
+    // shard and global order matches a from-scratch build.
     TSFM_CHECK_EQ(new_to_global[s].size(), new_local);
     new_to_global[s].push_back(new_ids.size());
     new_locator.emplace_back(s, new_local);
     new_ids.push_back(std::move(global_ids_[h]));
   }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (built[s].has_value()) {
-      shards_[s] = std::move(built[s]->index);
-    } else if (shards_[s].churned()) {
-      // HNSW under the rebuild threshold: insert deltas into the existing
-      // graph; tombstoned handles stay in the maps and stay filtered.
-      shards_[s].FoldDeltaInPlace();
-    } else {
-      shards_[s].Seal();
-    }
-  }
   global_ids_ = std::move(new_ids);
   locator_ = std::move(new_locator);
   to_global_ = std::move(new_to_global);
+  for (const Status& status : committed) {
+    if (!status.ok()) return status;
+  }
   ++compactions_;
   return Status::OK();
 }
 
-size_t ShardedLakeIndex::num_tables() const {
+// -------------------------------------------------------------------- state
+
+std::vector<std::string> LakeCoordinator::TableIds() const {
   ReaderMutexLock lock(&mu_);
-  return global_ids_.size();
+  return global_ids_;
 }
 
-size_t ShardedLakeIndex::num_live_tables() const {
-  ReaderMutexLock lock(&mu_);
-  size_t total = 0;
-  for (const LakeIndex& shard : shards_) total += shard.num_live_tables();
-  return total;
-}
-
-size_t ShardedLakeIndex::num_columns() const {
-  ReaderMutexLock lock(&mu_);
-  size_t total = 0;
-  for (const LakeIndex& shard : shards_) total += shard.num_columns();
-  return total;
-}
-
-std::string ShardedLakeIndex::table_id(size_t handle) const {
+std::string LakeCoordinator::table_id(size_t handle) const {
   ReaderMutexLock lock(&mu_);
   return global_ids_[handle];
 }
 
-size_t ShardedLakeIndex::pending_delta_tables() const {
+size_t LakeCoordinator::num_tables() const {
   ReaderMutexLock lock(&mu_);
-  size_t total = 0;
-  for (const LakeIndex& shard : shards_) total += shard.pending_delta_tables();
+  return global_ids_.size();
+}
+
+ShardCounts LakeCoordinator::SumCounts() const {
+  ShardCounts total;
+  for (const auto& shard : shards_) {
+    const ShardCounts counts = shard->Counts();
+    total.tables += counts.tables;
+    total.live_tables += counts.live_tables;
+    total.columns += counts.columns;
+    total.pending_delta_tables += counts.pending_delta_tables;
+    total.pending_tombstones += counts.pending_tombstones;
+  }
   return total;
 }
 
-size_t ShardedLakeIndex::pending_tombstones() const {
+LakeChurnCounters LakeCoordinator::Churn() const {
+  const ShardCounts counts = SumCounts();
+  LakeChurnCounters churn;
+  churn.pending_delta_tables = counts.pending_delta_tables;
+  churn.pending_tombstones = counts.pending_tombstones;
   ReaderMutexLock lock(&mu_);
-  size_t total = 0;
-  for (const LakeIndex& shard : shards_) total += shard.pending_tombstones();
-  return total;
+  churn.compactions = compactions_;
+  return churn;
 }
 
-uint64_t ShardedLakeIndex::compactions() const {
-  ReaderMutexLock lock(&mu_);
-  return compactions_;
-}
-
-bool ShardedLakeIndex::churned() const {
-  ReaderMutexLock lock(&mu_);
-  for (const LakeIndex& shard : shards_) {
-    if (shard.churned()) return true;
+Status LakeCoordinator::IndexFromLocator(const LakeManifest& manifest,
+                                         const std::string& path) {
+  std::vector<std::vector<std::string>> ids(shards_.size());
+  size_t shard_tables = 0, live_tables = 0;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    Result<std::vector<std::string>> tables = shards_[s]->TableIds();
+    if (!tables.ok()) return tables.status();
+    ids[s] = std::move(tables).value();
+    shard_tables += ids[s].size();
+    live_tables += shards_[s]->Counts().live_tables;
   }
-  return false;
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit>
-ShardedLakeIndex::SearchColumnHitsLocked(const std::vector<float>& query,
-                                         size_t m, ThreadPool* pool) const {
-  // The search lambda runs on pool threads, invisible to this frame's
-  // shared lock; bind the guarded fields to aliases under the lock and
-  // capture those (see the concurrency contract in docs/architecture.md).
-  const std::vector<LakeIndex>& shards = shards_;
-  const std::vector<std::vector<size_t>>& to_global = to_global_;
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_shard(
-      shards.size());
-  auto search_shard = [&](size_t s) {
-    // Churn-aware shard search: covers base + delta, filters tombstones.
-    auto hits = shards[s].SearchColumns(query, m);
-    // Remap shard-local table handles to global handles. Local handles are
-    // assigned in insertion order, so the remap is monotone and each list
-    // stays sorted by (distance, table, column).
-    for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
-    per_shard[s] = std::move(hits);
-  };
-  if (pool != nullptr && shards.size() > 1) {
-    ParallelFor(pool, 0, shards.size(), search_shard);
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) search_shard(s);
+  // With the duplicate check below, equal counts mean every shard table is
+  // claimed by exactly one locator record.
+  if (shard_tables != manifest.num_tables()) {
+    return Status::ParseError("lake manifest " + path +
+                              " table count disagrees with shard files");
   }
-  return TableRanker::MergeColumnHits(per_shard, m);
-}
-
-std::vector<ColumnEmbeddingIndex::ColumnHit> ShardedLakeIndex::SearchColumnHits(
-    const std::vector<float>& query, size_t m, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnHitsLocked(query, m, pool);
-}
-
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-ShardedLakeIndex::SearchColumnHitsBatchLocked(
-    const std::vector<std::vector<float>>& queries, size_t m,
-    ThreadPool* pool) const {
-  // Scatter the WHOLE batch to each shard (one SearchColumnsBatch call per
-  // shard, which reaches the flat backend's multi-query scan), remap local
-  // table handles to global, then k-way-merge per query. ParallelFor is
-  // nest-safe (util/thread_pool.h), so the shard fan-out and the
-  // per-shard query-chunk fan-out share one pool.
-  // Aliases bound under the shared lock for the pool-dispatched lambda.
-  const std::vector<LakeIndex>& shards = shards_;
-  const std::vector<std::vector<size_t>>& to_global = to_global_;
-  std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>
-      per_shard(shards.size());
-  auto search_shard = [&](size_t s, ThreadPool* inner) {
-    auto lists = shards[s].SearchColumnsBatch(queries, m, inner);
-    for (auto& hits : lists) {
-      for (auto& hit : hits) hit.table_id = to_global[s][hit.table_id];
+  // Churned manifests also pin the live count, catching a manifest paired
+  // with shard files from a different compaction epoch.
+  if (live_tables != manifest.live_tables) {
+    return Status::ParseError("lake manifest " + path +
+                              " live-table count disagrees with shard files");
+  }
+  // Not yet shared; the lock is uncontended and exists for the checker.
+  WriterMutexLock lock(&mu_);
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    to_global_[s].assign(ids[s].size(), SIZE_MAX);
+  }
+  global_ids_.reserve(shard_tables);
+  locator_.reserve(shard_tables);
+  // Handles in the original insertion order: this is what keeps Fig 6
+  // tie-breaking identical across save/load and across deployments.
+  for (const auto& [shard, local] : manifest.locator) {
+    if (local >= to_global_[shard].size() ||
+        to_global_[shard][local] != SIZE_MAX) {
+      return Status::ParseError("lake manifest " + path +
+                                " has an invalid or duplicate table record");
     }
-    per_shard[s] = std::move(lists);
-  };
-  if (pool != nullptr && shards.size() > 1) {
-    ParallelFor(pool, 0, shards.size(),
-                [&](size_t s) { search_shard(s, pool); });
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) search_shard(s, pool);
+    to_global_[shard][local] = global_ids_.size();
+    global_ids_.push_back(std::move(ids[shard][local]));
+    locator_.emplace_back(shard, local);
   }
+  return Status::OK();
+}
 
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> merged(
-      queries.size());
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> lists(
-      shards.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    for (size_t s = 0; s < shards.size(); ++s) {
-      lists[s] = std::move(per_shard[s][q]);
-    }
-    merged[q] = TableRanker::MergeColumnHits(lists, m);
+LakeManifest LakeCoordinator::ManifestLocked(
+    const std::string& basename) const {
+  LakeManifest manifest;
+  manifest.backend = options_.backend;
+  manifest.metric = options_.metric;
+  manifest.storage = options_.storage;
+  manifest.dim = dim_;
+  const ShardCounts counts = SumCounts();
+  manifest.churned = counts.pending_delta_tables + counts.pending_tombstones > 0;
+  manifest.live_tables = counts.live_tables;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    manifest.shard_files.push_back(LakeShardFileName(basename, s));
   }
-  return merged;
-}
-
-std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-ShardedLakeIndex::SearchColumnHitsBatch(
-    const std::vector<std::vector<float>>& queries, size_t m,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return SearchColumnHitsBatchLocked(queries, m, pool);
-}
-
-std::vector<size_t> ShardedLakeIndex::RankUnionableLocked(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    size_t exclude, ThreadPool* pool) const {
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& qcol : query_columns) {
-    per_column_hits.push_back(SearchColumnHitsLocked(qcol, k * 3, pool));
+  // Global handle space: (shard, local) per handle in insertion order —
+  // tombstoned handles included, matching the shard files' churn sections —
+  // so handles assigned by AddTable stay valid across a save/load round
+  // trip (until the next compaction re-densifies them).
+  manifest.locator.reserve(locator_.size());
+  for (const auto& [shard, local] : locator_) {
+    manifest.locator.emplace_back(static_cast<uint32_t>(shard),
+                                  static_cast<uint64_t>(local));
   }
-  return TableRanker::RankFromColumnHits(per_column_hits, exclude);
+  return manifest;
 }
 
-std::vector<size_t> ShardedLakeIndex::RankUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    size_t exclude, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankUnionableLocked(query_columns, k, exclude, pool);
-}
+// --------------------------------------------------------- ShardedLakeIndex
 
-std::vector<size_t> ShardedLakeIndex::RankJoinable(
-    const std::vector<float>& query_column, size_t k, size_t exclude,
-    ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return TableRanker::RankFromSingleColumnHits(
-      SearchColumnHitsLocked(query_column, k * 3, pool), exclude);
-}
+namespace {
 
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatchLocked(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(queries.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  // Flatten every query's columns into one batched scatter so each shard
-  // streams its rows once for the whole coalesced group (the multi-query
-  // scan), instead of once per query column. Hit lists are identical to
-  // per-query SearchColumnHits, so the Fig 6 ranking is unchanged.
-  std::vector<std::vector<float>> flat;
-  std::vector<size_t> offset(queries.size() + 1, 0);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    offset[q + 1] = offset[q] + queries[q].size();
+std::vector<std::unique_ptr<Shard>> MakeLakeShards(size_t dim,
+                                                   size_t num_shards,
+                                                   const IndexOptions& options) {
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (size_t s = 0; s < std::max<size_t>(1, num_shards); ++s) {
+    shards.push_back(std::make_unique<LakeIndex>(dim, options));
   }
-  flat.reserve(offset.back());
-  for (const auto& query : queries) {
-    flat.insert(flat.end(), query.begin(), query.end());
-  }
-  auto hits = SearchColumnHitsBatchLocked(flat, k * 3, pool);
-  for (size_t q = 0; q < queries.size(); ++q) {
-    std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column(
-        std::make_move_iterator(hits.begin() + offset[q]),
-        std::make_move_iterator(hits.begin() + offset[q + 1]));
-    results[q] = TableRanker::RankFromColumnHits(per_column, exclude_of(q));
-  }
-  return results;
+  return shards;
 }
 
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatch(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankUnionableBatchLocked(queries, k, excludes, pool);
+}  // namespace
+
+ShardedLakeIndex::ShardedLakeIndex(size_t dim, size_t num_shards,
+                                   const IndexOptions& options)
+    : LakeCoordinator(dim, options, MakeLakeShards(dim, num_shards, options)) {}
+
+size_t ShardedLakeIndex::AddTable(
+    const std::string& table_id,
+    const std::vector<std::vector<float>>& column_embeddings) {
+  size_t handle = 0;
+  Status added = LakeCoordinator::AddTable(table_id, column_embeddings, &handle);
+  TSFM_CHECK(added.ok()) << added.ToString();
+  return handle;
 }
 
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatchLocked(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  std::vector<std::vector<size_t>> results(query_columns.size());
-  auto exclude_of = [&](size_t q) {
-    return q < excludes.size() ? excludes[q] : SIZE_MAX;
-  };
-  auto hits = SearchColumnHitsBatchLocked(query_columns, k * 3, pool);
-  for (size_t q = 0; q < query_columns.size(); ++q) {
-    results[q] = TableRanker::RankFromSingleColumnHits(hits[q], exclude_of(q));
-  }
-  return results;
-}
-
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankJoinableBatchLocked(query_columns, k, excludes, pool);
+void ShardedLakeIndex::Seal() {
+  MutexLock writer(&writer_mu_);
+  for (size_t s = 0; s < num_shards(); ++s) lake(s).Seal();
 }
 
 std::vector<std::string> ShardedLakeIndex::QueryUnionable(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankedTableIds(
-      global_ids_,
-      RankUnionableLocked(query_columns, k, /*exclude=*/SIZE_MAX, pool), k);
+  return Must(LakeCoordinator::QueryUnionable(query_columns, k, pool));
 }
 
 std::vector<std::string> ShardedLakeIndex::QueryJoinable(
     const std::vector<float>& query_column, size_t k, ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  return RankedTableIds(global_ids_,
-                        TableRanker::RankFromSingleColumnHits(
-                            SearchColumnHitsLocked(query_column, k * 3, pool),
-                            /*exclude=*/SIZE_MAX),
-                        k);
+  return Must(LakeCoordinator::QueryJoinable(query_column, k, pool));
 }
 
 std::vector<std::vector<std::string>> ShardedLakeIndex::QueryUnionableBatch(
     const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
     ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  auto ranked = RankUnionableBatchLocked(queries, k, /*excludes=*/{}, pool);
-  std::vector<std::vector<std::string>> out(ranked.size());
-  for (size_t q = 0; q < ranked.size(); ++q) {
-    out[q] = RankedTableIds(global_ids_, ranked[q], k);
-  }
-  return out;
+  return Must(LakeCoordinator::QueryUnionableBatch(queries, k, pool));
 }
 
 std::vector<std::vector<std::string>> ShardedLakeIndex::QueryJoinableBatch(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
-  ReaderMutexLock lock(&mu_);
-  auto ranked =
-      RankJoinableBatchLocked(query_columns, k, /*excludes=*/{}, pool);
-  std::vector<std::vector<std::string>> out(ranked.size());
-  for (size_t q = 0; q < ranked.size(); ++q) {
-    out[q] = RankedTableIds(global_ids_, ranked[q], k);
-  }
-  return out;
+  return Must(LakeCoordinator::QueryJoinableBatch(query_columns, k, pool));
+}
+
+std::vector<ColumnHits> ShardedLakeIndex::SearchColumnHitsBatch(
+    const std::vector<std::vector<float>>& queries, size_t m,
+    ThreadPool* pool) const {
+  return Must(LakeCoordinator::SearchColumnHitsBatch(queries, m, pool));
+}
+
+std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatch(
+    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
+    const std::vector<size_t>& excludes, ThreadPool* pool) const {
+  std::vector<size_t> offset;
+  const auto flat = Flatten(queries, &offset);
+  return Must(Rank(flat, &offset, k, excludes, pool, /*ids=*/nullptr));
+}
+
+std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatch(
+    const std::vector<std::vector<float>>& query_columns, size_t k,
+    const std::vector<size_t>& excludes, ThreadPool* pool) const {
+  return Must(Rank(query_columns, nullptr, k, excludes, pool, /*ids=*/nullptr));
+}
+
+ShardedLakeIndex ShardedLakeIndex::FromSingle(LakeIndex&& shard) {
+  // The trivial locator: the shard's local handle h is global handle h.
+  LakeManifest manifest;
+  manifest.live_tables = shard.num_live_tables();
+  for (size_t h = 0; h < shard.num_tables(); ++h) manifest.locator.emplace_back(0, h);
+  const size_t dim = shard.dim();
+  const IndexOptions options = shard.options();
+  std::vector<std::unique_ptr<Shard>> shards;
+  shards.push_back(std::make_unique<LakeIndex>(std::move(shard)));
+  ShardedLakeIndex index(dim, options, std::move(shards));
+  Status indexed = index.IndexFromLocator(manifest, "of a single shard");
+  TSFM_CHECK(indexed.ok()) << indexed.ToString();
+  return index;
 }
 
 Status ShardedLakeIndex::Save(const std::string& path, ThreadPool* pool) const {
@@ -470,52 +524,18 @@ Status ShardedLakeIndex::Save(const std::string& path, ThreadPool* pool) const {
   // Exclude mutations (writer_mu_) but not queries for the whole save, so
   // the manifest and the shard files describe one epoch.
   MutexLock writer(&writer_mu_);
-  ReaderMutexLock lock(&mu_);
-  // Alias bound under the shared lock for the pool-dispatched save lambda.
-  const std::vector<LakeIndex>& shards = shards_;
-
   // Shard files first, in parallel: each one is an independent LakeIndex
   // ("LAK2") image, so a crash mid-save never leaves a manifest pointing at
   // files that were not yet written.
-  std::vector<Status> statuses(shards.size());
-  auto save_shard = [&](size_t s) {
-    statuses[s] =
-        shards[s].Save((dir / LakeShardFileName(basename, s)).string());
-  };
-  if (pool != nullptr && shards.size() > 1) {
-    ParallelFor(pool, 0, shards.size(), save_shard);
-  } else {
-    for (size_t s = 0; s < shards.size(); ++s) save_shard(s);
-  }
+  std::vector<Status> statuses(num_shards());
+  ForEachShard(pool, [&](size_t s) {
+    statuses[s] = lake(s).Save((dir / LakeShardFileName(basename, s)).string());
+  });
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
-
-  LakeManifest manifest;
-  manifest.backend = options_.backend;
-  manifest.metric = options_.metric;
-  manifest.storage = options_.storage;
-  manifest.dim = dim_;
-  size_t live = 0;
-  for (const LakeIndex& shard : shards_) {
-    if (shard.churned()) manifest.churned = true;
-    live += shard.num_live_tables();
-  }
-  manifest.live_tables = live;
-  manifest.shard_files.reserve(shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    manifest.shard_files.push_back(LakeShardFileName(basename, s));
-  }
-  // Global handle space: (shard, local) per handle in insertion order —
-  // tombstoned handles included, matching the shard files' churn sections —
-  // so handles assigned by AddTable stay valid across a save/load round
-  // trip (until the next full compaction re-densifies them).
-  manifest.locator.reserve(locator_.size());
-  for (const auto& [shard, local] : locator_) {
-    manifest.locator.emplace_back(static_cast<uint32_t>(shard),
-                                  static_cast<uint64_t>(local));
-  }
-  return SaveLakeManifest(manifest, path);
+  ReaderMutexLock lock(&mu_);
+  return SaveLakeManifest(ManifestLocked(basename), path);
 }
 
 Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
@@ -534,12 +554,9 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
 
   Result<LakeManifest> parsed = LoadLakeManifest(path);
   if (!parsed.ok()) return parsed.status();
-  const LakeManifest manifest = std::move(parsed).value();
+  const LakeManifest& manifest = parsed.value();
   const size_t num_shards = manifest.num_shards();
-  const uint64_t dim = manifest.dim;
   const std::vector<std::string>& shard_files = manifest.shard_files;
-  const auto& locator = manifest.locator;
-  const uint64_t num_tables = manifest.num_tables();
 
   // Load the shard files in parallel; each is a self-contained LakeIndex.
   const fs::path dir = fs::path(path).parent_path();
@@ -557,74 +574,38 @@ Result<ShardedLakeIndex> ShardedLakeIndex::Load(const std::string& path,
   options.backend = manifest.backend;
   options.metric = manifest.metric;
   options.storage = manifest.storage;
-  ShardedLakeIndex index(static_cast<size_t>(dim), options);
-  {
-    // `index` is not visible to any other thread yet; the lock is
-    // uncontended and exists for the checker. Error paths return while it is
-    // held, which is fine — the guard unwinds first. The scope ends before
-    // the success return so the move out of `index` happens unlocked.
-    WriterMutexLock lock(&index.mu_);
-    index.shards_.reserve(num_shards);
-    uint64_t total_shard_tables = 0;
-    uint64_t total_live_tables = 0;
-    for (size_t s = 0; s < num_shards; ++s) {
-      if (!loaded[s]->ok()) return loaded[s]->status();
-      LakeIndex shard = std::move(*loaded[s]).value();
-      if (shard.dim() != dim) {
-        return Status::ParseError("shard " + shard_files[s] +
-                                  " dim disagrees with manifest " + path);
-      }
-      if (shard.options().backend != options.backend ||
-          shard.options().metric != options.metric) {
-        return Status::ParseError("shard " + shard_files[s] +
-                                  " backend/metric disagrees with manifest " +
-                                  path);
-      }
-      if (shard.options().storage != options.storage) {
-        // A float shard merged into an sq8 lake (or vice versa) would rank
-        // with distances from two different spaces; refuse loudly.
-        return Status::ParseError(
-            "shard " + shard_files[s] + " storage (" +
-            (shard.options().storage == Storage::kSq8 ? "sq8" : "float32") +
-            ") disagrees with manifest " + path + " (" +
-            (options.storage == Storage::kSq8 ? "sq8" : "float32") + ")");
-      }
-      total_shard_tables += shard.num_tables();
-      total_live_tables += shard.num_live_tables();
-      index.shards_.push_back(std::move(shard));
+  std::vector<std::unique_ptr<Shard>> shards;
+  for (size_t s = 0; s < num_shards; ++s) {
+    if (!loaded[s]->ok()) return loaded[s]->status();
+    LakeIndex shard = std::move(*loaded[s]).value();
+    const IndexOptions got = shard.options();
+    if (shard.dim() != manifest.dim) {
+      return Status::ParseError("shard " + shard_files[s] +
+                                " dim disagrees with manifest " + path);
     }
-    // Rebuild the global handle space in its original insertion order from
-    // the manifest's locator records; every shard table must be claimed by
-    // exactly one record.
-    if (total_shard_tables != num_tables) {
-      return Status::ParseError("lake manifest " + path +
-                                " table count disagrees with shard files");
+    if (got.backend != options.backend || got.metric != options.metric) {
+      return Status::ParseError("shard " + shard_files[s] +
+                                " backend/metric disagrees with manifest " +
+                                path);
     }
-    // Churned manifests also pin the live count, catching a manifest paired
-    // with shard files from a different compaction epoch.
-    if (total_live_tables != manifest.live_tables) {
-      return Status::ParseError("lake manifest " + path +
-                                " live-table count disagrees with shard files");
-    }
-    index.to_global_.resize(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      index.to_global_[s].assign(index.shards_[s].num_tables(), SIZE_MAX);
-    }
-    index.global_ids_.reserve(num_tables);
-    index.locator_.reserve(num_tables);
-    for (const auto& [shard, local] : locator) {
-      if (local >= index.to_global_[shard].size() ||
-          index.to_global_[shard][local] != SIZE_MAX) {
-        return Status::ParseError("lake manifest " + path +
-                                  " has an invalid or duplicate table record");
-      }
-      index.to_global_[shard][local] = index.global_ids_.size();
-      index.global_ids_.push_back(index.shards_[shard].table_id(local));
-      index.locator_.emplace_back(shard, local);
+    if (got.storage != options.storage) {
+      // A float shard merged into an sq8 lake (or vice versa) would rank
+      // with distances from two different spaces; refuse loudly.
+      return Status::ParseError(
+          "shard " + shard_files[s] + " storage (" +
+          (got.storage == Storage::kSq8 ? "sq8" : "float32") +
+          ") disagrees with manifest " + path + " (" +
+          (options.storage == Storage::kSq8 ? "sq8" : "float32") + ")");
     }
     // The shard files carry the HNSW knobs; mirror shard 0's so options()
     // reports what the shards actually use.
-    index.options_.hnsw = index.shards_[0].options().hnsw;
+    if (s == 0) options.hnsw = got.hnsw;
+    shards.push_back(std::make_unique<LakeIndex>(std::move(shard)));
+  }
+  ShardedLakeIndex index(static_cast<size_t>(manifest.dim), options,
+                         std::move(shards));
+  if (Status status = index.IndexFromLocator(manifest, path); !status.ok()) {
+    return status;
   }
   return index;
 }

@@ -1,29 +1,41 @@
-// Sharded data-lake index: the LakeIndex deployment partitioned across N
-// shards so one lake can exceed a single machine's memory and build time
-// (paper Sec V scaled out; ROADMAP "Sharded LakeIndex").
+// The lake coordinator, and ShardedLakeIndex — the coordinator over
+// in-process shards (paper Sec V: the lake's column embeddings indexed
+// offline, only the query table embedded online, tables ranked by the
+// Fig 6 column-match aggregation).
 //
-// Tables are routed to shards by a stable hash of their string id
-// (util/hash.h StableShard), so every column of a table lives in exactly
-// one shard and the assignment survives rebuilds. Each shard owns its own
-// VectorIndex (flat or HNSW via IndexOptions). Queries scatter over all
-// shards — on a ThreadPool when one is given — and the per-shard sorted
-// candidate lists are gathered with TableRanker::MergeColumnHits (a k-way
-// heap merge) before the usual Fig 6 ranking, which makes the flat-backend
-// results bit-identical to an unsharded LakeIndex over the same corpus.
+// LakeCoordinator is the one query and mutation stack above the Shard seam
+// (search/shard.h). Tables are routed to shards by a stable hash of their
+// string id (util/hash.h StableShard), so every column of a table lives in
+// exactly one shard and the assignment survives rebuilds. A query batch is
+// scattered whole to every shard (one Shard::SearchColumnsBatch call each,
+// over a ThreadPool when one is given); the coordinator remaps the
+// shard-local table handles to global ones, k-way-merges the per-shard
+// sorted lists (TableRanker::MergeColumnHits), ranks them (Fig 6
+// RANK1/RANK2) and maps the ranked handles to ids — all under one shared
+// epoch lock. Over flat shards the results are bit-identical to a 1-shard
+// lake over the same corpus.
 //
-// On disk the index is a "LAKS" manifest (shard count, backend, metric,
-// dim, per-shard file names) next to one "LAK2" LakeIndex file per shard;
-// Save and Load handle the shard files in parallel. Legacy single-file
-// "LAK2"/"LAKE" indexes load as a 1-shard index, so existing callers can
-// switch over behind a --shards knob without a migration.
+// The two deployments are this coordinator over two Shard implementations:
+// ShardedLakeIndex over in-process LakeIndex shards (infallible surface)
+// and server::DistributedLakeIndex over server::RemoteShard worker
+// connections (Result surface).
+//
+// On disk a sharded lake is a "LAKS" manifest (search/lake_manifest.h)
+// next to one "LAK2" LakeIndex file per shard; Save and Load handle the
+// shard files in parallel. Legacy single-file "LAK2"/"LAKE" indexes load
+// as a 1-shard index.
 #ifndef TSFM_SEARCH_SHARDED_LAKE_INDEX_H_
 #define TSFM_SEARCH_SHARDED_LAKE_INDEX_H_
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "search/lake_index.h"
+#include "search/lake_manifest.h"
+#include "search/shard.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -34,148 +46,262 @@ class ThreadPool;
 
 namespace tsfm::search {
 
-/// \brief A LakeIndex partitioned across shards with scatter/gather ranking.
+/// Point-in-time churn counters (the shape of the v3 STATS churn fields).
+struct LakeChurnCounters {
+  uint64_t pending_delta_tables = 0;
+  uint64_t pending_tombstones = 0;
+  uint64_t compactions = 0;
+};
+
+/// \brief One lake over a fixed set of shards: routing, the global handle
+/// space, scatter/merge/rank, and mutations with an epoch-consistent
+/// compaction.
 ///
-/// Mirrors the LakeIndex query API (string table ids in, ranked ids out)
-/// and adds handle-level Rank* entry points with an exclude id for
-/// benchmark drivers. All query methods are const-thread-safe and may
-/// overlap AddTable/RemoveTable/Compact: a query pins one epoch of the
-/// global handle maps and shard set for its whole duration (shared lock),
-/// mutations serialize behind a writer mutex and publish under brief
-/// exclusive locks, and Compact rebuilds every churned shard off-lock
-/// before swapping shards + maps in one exclusive section. The optional
-/// ThreadPool fans work out over shards (single queries) or over queries
-/// (batch entry points); results are identical to the serial path.
+/// Concurrency: queries hold the epoch lock shared across scatter, remap,
+/// merge, rank and the id gather, so every answer belongs to one epoch.
+/// Mutations serialize behind a writer mutex. AddTable changes a shard's
+/// handle space and the maps together under the exclusive epoch lock;
+/// RemoveTable only tombstones and runs beside queries. Compact prepares
+/// every shard while queries continue, then commits every shard and
+/// swaps the re-densified maps in one exclusive section — so a query sees
+/// the lake before or after a compaction, never between.
 ///
-/// Like LakeIndex, each shard retains its raw column embeddings so Save
-/// can write self-contained shard files; a query-only deployment pays
-/// that memory twice (once in the shard, once in its VectorIndex).
-class ShardedLakeIndex {
+/// Failures are per shard and name it (a remote shard's worker died, ...).
+/// Mutations are fail-stop: once any shard reports it may have lost step
+/// with the maps (Shard::Writable), every later mutation is refused.
+class LakeCoordinator {
  public:
-  /// Creates an empty index of `num_shards` shards (clamped to >= 1), each
-  /// owning a VectorIndex configured by `options`.
-  ShardedLakeIndex(size_t dim, size_t num_shards, const IndexOptions& options = {});
+  virtual ~LakeCoordinator();
 
-  /// Moves must not overlap any other operation on either operand (the
-  /// same contract as LakeIndex: a moved index re-arms fresh locks).
-  ShardedLakeIndex(ShardedLakeIndex&& other) noexcept;
-  ShardedLakeIndex& operator=(ShardedLakeIndex&& other) noexcept;
-  ShardedLakeIndex(const ShardedLakeIndex&) = delete;
-  ShardedLakeIndex& operator=(const ShardedLakeIndex&) = delete;
+  /// Moves must not overlap any other operation on either operand (a moved
+  /// coordinator re-arms fresh locks).
+  LakeCoordinator(LakeCoordinator&& other) noexcept;
+  LakeCoordinator& operator=(LakeCoordinator&& other) noexcept;
+  LakeCoordinator(const LakeCoordinator&) = delete;
+  LakeCoordinator& operator=(const LakeCoordinator&) = delete;
 
-  /// Routes the table to its shard by stable hash of `table_id` and
-  /// registers its column embeddings. Returns the table's global handle
-  /// (dense, in insertion order). Safe to call concurrently with queries;
-  /// before any shard is sealed the table joins that shard's base segment
-  /// (bulk build), afterwards its delta segment (live ingest).
-  size_t AddTable(const std::string& table_id,
-                  const std::vector<std::vector<float>>& column_embeddings)
-      LAKS_EXCLUDES(writer_mu_, mu_);
+  /// Ranked table ids for a join query on a single column.
+  Result<std::vector<std::string>> QueryJoinable(
+      const std::vector<float>& query_column, size_t k,
+      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
 
-  /// Tombstones the most recently added live table named `table_id` in its
-  /// owning shard. kNotFound when no live table has that id. Safe to call
-  /// concurrently with queries.
+  /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
+  Result<std::vector<std::string>> QueryUnionable(
+      const std::vector<std::vector<float>>& query_columns, size_t k,
+      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+
+  /// One QueryJoinable result per query column, from one scatter of the
+  /// whole batch. The first shard failure fails the batch.
+  Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
+      const std::vector<std::vector<float>>& query_columns, size_t k,
+      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+
+  /// One QueryUnionable result per query; every query's columns ride one
+  /// scatter.
+  Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
+      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
+      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+
+  /// \brief The global top-`m` column hits per query, below the Fig 6
+  /// ranking.
+  ///
+  /// Each shard answers the whole batch in one call — on flat shards the
+  /// multi-query scan, so rows stream from memory once per batch — and
+  /// the per-shard lists are remapped to global handles and merged.
+  /// Result q equals the search of query q alone.
+  Result<std::vector<ColumnHits>> SearchColumnHitsBatch(
+      const std::vector<std::vector<float>>& queries, size_t m,
+      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+
+  /// Routes the table to its shard and registers it under the next global
+  /// handle (dense, in insertion order), stored in `*handle` when given.
+  Status AddTable(const std::string& table_id,
+                  const std::vector<std::vector<float>>& columns,
+                  size_t* handle = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
+
+  /// Tombstones the newest live table named `table_id` in its shard. The
+  /// handle stays allocated until the next compaction. kNotFound when no
+  /// live table has that id.
   Status RemoveTable(const std::string& table_id)
       LAKS_EXCLUDES(writer_mu_, mu_);
+
+  /// \brief Folds every shard's deltas + tombstones and re-densifies the
+  /// global handles (survivors keep their insertion order).
+  ///
+  /// Shards prepare in parallel over `pool` while queries continue; the
+  /// commits and the map swap then run in one exclusive section.
+  /// Post-compaction flat rankings are bit-identical to a from-scratch
+  /// build of the surviving tables in insertion order.
+  Status Compact(ThreadPool* pool = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
+
+  /// Every table id in global handle order, from one epoch.
+  std::vector<std::string> TableIds() const LAKS_EXCLUDES(mu_);
+  /// The id behind a global handle (a copy: a concurrent compaction may
+  /// re-densify the maps).
+  std::string table_id(size_t handle) const LAKS_EXCLUDES(mu_);
+
+  size_t num_shards() const { return shards_.size(); }
+  /// Global handle-space size: live + tombstoned tables.
+  size_t num_tables() const LAKS_EXCLUDES(mu_);
+  /// Tables a query can still return.
+  size_t num_live_tables() const { return SumCounts().live_tables; }
+  /// Columns indexed across all shards (the ceiling on search results).
+  size_t num_columns() const { return SumCounts().columns; }
+  size_t dim() const { return dim_; }
+  const IndexOptions& options() const { return options_; }
+  /// The shard `table_id` routes to (stable across rebuilds and processes).
+  size_t shard_of(const std::string& table_id) const;
+
+  LakeChurnCounters Churn() const LAKS_EXCLUDES(mu_);
+  /// Delta tables across all shards awaiting the next compaction.
+  size_t pending_delta_tables() const {
+    return SumCounts().pending_delta_tables;
+  }
+  /// Tombstoned-but-not-yet-compacted tables across all shards.
+  size_t pending_tombstones() const { return SumCounts().pending_tombstones; }
+  /// Completed Compact calls on this coordinator.
+  uint64_t compactions() const { return Churn().compactions; }
+  /// True when any shard carries pending deltas or tombstones.
+  bool churned() const {
+    return pending_delta_tables() + pending_tombstones() > 0;
+  }
+
+ protected:
+  /// `options.storage` is normalized to float32 for HNSW (which stores
+  /// floats whatever the knob says), so it describes the shards.
+  LakeCoordinator(size_t dim, const IndexOptions& options,
+                  std::vector<std::unique_ptr<Shard>> shards);
+
+  /// \brief Builds the global handle space from a manifest's locator:
+  /// handle h is (shard, local) = locator[h], named by that shard's table
+  /// id.
+  ///
+  /// Every shard table must be claimed by exactly one record, and the
+  /// shards' live count must match the manifest's; `path` names the
+  /// manifest in errors. Call before the coordinator is shared.
+  Status IndexFromLocator(const LakeManifest& manifest,
+                          const std::string& path) LAKS_EXCLUDES(mu_);
+
+  /// The manifest describing this lake (locator and counts included) with
+  /// shard files named after `basename`.
+  LakeManifest ManifestLocked(const std::string& basename) const
+      LAKS_REQUIRES_SHARED(mu_);
+
+  /// \brief Handle-level Fig 6 ranking of a batch in one scatter.
+  ///
+  /// Query q owns columns [(*offset)[q], (*offset)[q + 1]) of `columns`,
+  /// or just column q when `offset` is null (a join batch, ranked by its
+  /// single column). `excludes[q]` is dropped from query q's ranking
+  /// (empty = none). When `ids` is given the ranked handles are mapped to
+  /// at most `k` ids each in the same epoch.
+  Result<std::vector<std::vector<size_t>>> Rank(
+      const std::vector<std::vector<float>>& columns,
+      const std::vector<size_t>* offset, size_t k,
+      const std::vector<size_t>& excludes, ThreadPool* pool,
+      std::vector<std::vector<std::string>>* ids) const LAKS_EXCLUDES(mu_);
+
+  Shard& shard(size_t s) const { return *shards_[s]; }
+  /// Runs `fn(s)` for every shard, over `pool` when there are several.
+  template <typename Fn>
+  void ForEachShard(ThreadPool* pool, Fn&& fn) const;
+
+  // Lock order: writer_mu_ before mu_ (before any shard's own locks).
+  // mutable: Save is const but must exclude mutations so the manifest and
+  // shard files describe one epoch.
+  mutable Mutex writer_mu_;
+  mutable SharedMutex mu_ LAKS_ACQUIRED_AFTER(writer_mu_);
+
+ private:
+  ShardCounts SumCounts() const;
+  Result<std::vector<ColumnHits>> SearchColumnHitsBatchLocked(
+      const std::vector<std::vector<float>>& queries, size_t m,
+      ThreadPool* pool) const LAKS_REQUIRES_SHARED(mu_);
+  /// OK when every shard accepts mutations.
+  Status MutationGate() const LAKS_REQUIRES(writer_mu_);
+  /// Unanalyzed on purpose: moves must not overlap any other operation on
+  /// either operand (the documented move contract), so no lock is held.
+  void MoveFieldsFrom(LakeCoordinator&& other) LAKS_NO_THREAD_SAFETY_ANALYSIS;
+
+  // dim_, options_ and the shard set are fixed before the coordinator is
+  // shared (moves excepted), so they are read without the lock; each
+  // shard carries its own locks.
+  size_t dim_;
+  IndexOptions options_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  // handle -> id
+  std::vector<std::string> global_ids_ LAKS_GUARDED_BY(mu_);
+  // handle -> (shard, local)
+  std::vector<std::pair<size_t, size_t>> locator_ LAKS_GUARDED_BY(mu_);
+  // shard -> local -> handle
+  std::vector<std::vector<size_t>> to_global_ LAKS_GUARDED_BY(mu_);
+  uint64_t compactions_ LAKS_GUARDED_BY(mu_) = 0;
+};
+
+/// \brief The coordinator over in-process LakeIndex shards.
+///
+/// Its query surface cannot fail (an in-process shard never does), so it
+/// returns plain values; mutations and Compact are safe beside queries
+/// exactly as LakeCoordinator describes. Like LakeIndex, each shard
+/// retains its raw column embeddings so Save can write self-contained
+/// shard files.
+class ShardedLakeIndex : public LakeCoordinator {
+ public:
+  /// Creates an empty index of `num_shards` shards (clamped to >= 1), each
+  /// a LakeIndex configured by `options`.
+  ShardedLakeIndex(size_t dim, size_t num_shards,
+                   const IndexOptions& options = {});
+
+  /// Registers the table (see LakeCoordinator::AddTable) and returns its
+  /// global handle. Before Seal() the table joins its shard's base
+  /// segment (bulk build), afterwards its delta segment (live ingest).
+  size_t AddTable(const std::string& table_id,
+                  const std::vector<std::vector<float>>& column_embeddings);
 
   /// Ends the bulk-build phase on every shard: later AddTable calls land
   /// in delta segments. Idempotent; Load() and Compact() seal.
   void Seal() LAKS_EXCLUDES(writer_mu_, mu_);
 
-  /// \brief Folds every shard's deltas + tombstones back into its base.
-  ///
-  /// Rebuild shards are compacted off-lock in parallel over `pool`; the
-  /// new shards and the re-densified global handle maps are then swapped
-  /// in under one exclusive section, so concurrent queries see either the
-  /// old epoch or the new one, never a mix. HNSW shards at or under
-  /// `hnsw_rebuild_threshold` tombstone fraction fold in place (graph
-  /// insert of deltas, tombstones kept and filtered) and keep their
-  /// handles. Post-compaction flat-backend rankings are bit-identical to
-  /// a from-scratch build of the surviving tables in insertion order.
-  Status Compact(double hnsw_rebuild_threshold = 0.0,
-                 ThreadPool* pool = nullptr) LAKS_EXCLUDES(writer_mu_, mu_);
-
-  /// Ranked table ids for a union/subset query (Fig 6 multi-column rank).
+  /// LakeCoordinator's query surface, unwrapped: an in-process shard
+  /// cannot fail, so an error here check-fails as a bug.
   std::vector<std::string> QueryUnionable(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// Ranked table ids for a join query on a single column.
+      ThreadPool* pool = nullptr) const;
   std::vector<std::string> QueryJoinable(const std::vector<float>& query_column,
                                          size_t k,
-                                         ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// One QueryUnionable result per query; queries fan out over `pool`.
+                                         ThreadPool* pool = nullptr) const;
   std::vector<std::vector<std::string>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// One QueryJoinable result per query column; queries fan out over `pool`.
+      ThreadPool* pool = nullptr) const;
   std::vector<std::vector<std::string>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
+      ThreadPool* pool = nullptr) const;
+  std::vector<ColumnHits> SearchColumnHitsBatch(
+      const std::vector<std::vector<float>>& queries, size_t m,
+      ThreadPool* pool = nullptr) const;
 
-  /// \brief Handle-level union/subset ranking with an exclude handle.
+  /// \brief Handle-level union/subset ranking with exclude handles.
   ///
-  /// Returns global table handles instead of ids and drops `exclude`
-  /// (SIZE_MAX excludes nothing) — the entry point RunSearch uses, where
+  /// Returns global table handles instead of ids and drops `excludes[q]`
+  /// from query q (empty = none) — the entry point RunSearch uses, where
   /// the query table itself is part of the corpus.
-  std::vector<size_t> RankUnionable(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// Handle-level join ranking with an exclude handle.
-  std::vector<size_t> RankJoinable(const std::vector<float>& query_column,
-                                   size_t k, size_t exclude,
-                                   ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// Batch RankUnionable; `excludes` pairs with `queries` (empty = none).
   std::vector<std::vector<size_t>> RankUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
+      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
 
-  /// Batch RankJoinable; `excludes` pairs with `query_columns`.
+  /// Handle-level join ranking; `excludes` pairs with `query_columns`.
   std::vector<std::vector<size_t>> RankJoinableBatch(
       const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
-
-  /// \brief Raw scatter/gather: the global top-`m` column hits for one query.
-  ///
-  /// Scatters the column search over all shards, remaps shard-local table
-  /// handles to global handles, and k-way-merges the sorted per-shard lists
-  /// (TableRanker::MergeColumnHits). This is the half of a query below the
-  /// Fig 6 ranking — exposed so a serving layer can answer SHARD_QUERY
-  /// frames for a distributed coordinator, which gathers hits from many
-  /// worker processes and runs the exact same ranking code on top.
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHits(
-      const std::vector<float>& query, size_t m,
-      ThreadPool* pool = nullptr) const LAKS_EXCLUDES(mu_);
-
-  /// \brief Batched SearchColumnHits: one scatter per shard for the whole
-  /// query batch.
-  ///
-  /// Each shard answers ALL queries through one SearchColumnsBatch call —
-  /// on flat backends that is the multi-query mini-GEMM scan, so each
-  /// shard's rows stream from memory once per batch instead of once per
-  /// query. Shards (and the per-shard query chunks) fan out over `pool`
-  /// when given. Result q is identical to SearchColumnHits(query q, m).
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-  SearchColumnHitsBatch(const std::vector<std::vector<float>>& queries,
-                        size_t m, ThreadPool* pool = nullptr) const
-      LAKS_EXCLUDES(mu_);
+      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
 
   /// \brief Wraps an already-built single LakeIndex as a 1-shard index.
   ///
   /// Used for legacy single-file formats and by shard workers, which serve
   /// exactly one shard file of a distributed lake through the regular
-  /// ShardedLakeIndex surface.
+  /// coordinator surface.
   static ShardedLakeIndex FromSingle(LakeIndex&& shard);
 
-  /// \brief Persists the index as a "LAKS" manifest plus one shard file.
+  /// \brief Persists the index as a "LAKS" manifest plus one shard file
+  /// per shard.
   ///
   /// `path` names the manifest; shard s is written next to it as
   /// "<basename>.shard-<s>" and recorded in the manifest by that relative
@@ -193,100 +319,15 @@ class ShardedLakeIndex {
   static Result<ShardedLakeIndex> Load(const std::string& path,
                                        ThreadPool* pool = nullptr);
 
-  size_t num_shards() const LAKS_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return shards_.size();
-  }
-  /// Global handle-space size: live + tombstoned tables (re-densified by a
-  /// full compaction, like LakeIndex handles).
-  size_t num_tables() const LAKS_EXCLUDES(mu_);
-  /// Tables a query can still return.
-  size_t num_live_tables() const LAKS_EXCLUDES(mu_);
-  /// Total column count across all shards (the ceiling on SearchColumnHits
-  /// results — a serving layer clamps hostile `m` to it).
-  size_t num_columns() const LAKS_EXCLUDES(mu_);
-  size_t dim() const { return dim_; }
-  const IndexOptions& options() const { return options_; }
-  /// The id behind a global handle (a copy: the maps may be re-densified
-  /// by a concurrent compaction).
-  std::string table_id(size_t handle) const LAKS_EXCLUDES(mu_);
-
-  /// The shard `table_id` routes to (stable across rebuilds and processes).
-  size_t shard_of(const std::string& table_id) const LAKS_EXCLUDES(mu_);
-
   /// Number of tables resident in shard `s` (live + tombstoned).
-  size_t shard_size(size_t s) const LAKS_EXCLUDES(mu_) {
-    ReaderMutexLock lock(&mu_);
-    return shards_[s].num_tables();
-  }
-
-  /// Delta tables across all shards awaiting the next compaction.
-  size_t pending_delta_tables() const LAKS_EXCLUDES(mu_);
-  /// Tombstoned-but-not-yet-compacted tables across all shards.
-  size_t pending_tombstones() const LAKS_EXCLUDES(mu_);
-  /// Completed Compact calls on this sharded index (shard-internal folds
-  /// triggered through this index count once, not per shard).
-  uint64_t compactions() const LAKS_EXCLUDES(mu_);
-  /// True when any shard carries pending deltas or tombstones.
-  bool churned() const LAKS_EXCLUDES(mu_);
+  size_t shard_size(size_t s) const { return shard(s).Counts().tables; }
 
  private:
-  explicit ShardedLakeIndex(size_t dim, const IndexOptions& options);
+  ShardedLakeIndex(size_t dim, const IndexOptions& options,
+                   std::vector<std::unique_ptr<Shard>> shards)
+      : LakeCoordinator(dim, options, std::move(shards)) {}
 
-  /// Registers every table of shard `s` in the global handle maps, in the
-  /// shard's insertion order.
-  void IndexShardTables(size_t s) LAKS_REQUIRES(mu_);
-  /// Unanalyzed on purpose: moves must not overlap any other operation on
-  /// either operand (the documented move contract), so no lock is held.
-  void MoveFieldsFrom(ShardedLakeIndex&& other) LAKS_NO_THREAD_SAFETY_ANALYSIS;
-  size_t ShardOfLocked(const std::string& table_id) const
-      LAKS_REQUIRES_SHARED(mu_);
-
-  std::vector<ColumnEmbeddingIndex::ColumnHit> SearchColumnHitsLocked(
-      const std::vector<float>& query, size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>
-  SearchColumnHitsBatchLocked(const std::vector<std::vector<float>>& queries,
-                              size_t m, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<size_t> RankUnionableLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      size_t exclude, ThreadPool* pool) const LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankUnionableBatchLocked(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-  std::vector<std::vector<size_t>> RankJoinableBatchLocked(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool) const
-      LAKS_REQUIRES_SHARED(mu_);
-
-  // Lock order: writer_mu_ before mu_ (before any shard's own locks).
-  // Queries hold mu_ shared across the whole scatter + merge + rank so the
-  // maps and shard set they read belong to one epoch; mutations take
-  // writer_mu_, then mu_ exclusive only for the brief publish step.
-  //
-  // mutable writer_mu_: Save is const but must exclude mutations so the
-  // manifest and shard files describe one epoch.
-  mutable Mutex writer_mu_;
-  mutable SharedMutex mu_ LAKS_ACQUIRED_AFTER(writer_mu_);
-
-  // dim_ and options_ are set before the index is shared (constructor /
-  // Load, moves excepted) and never change afterwards, so they are read
-  // without the lock.
-  size_t dim_;
-  IndexOptions options_;
-  // The vector structure (element count) only changes pre-publication; a
-  // compaction swaps *elements* under an exclusive lock, which is why the
-  // whole vector is guarded. Each element also carries its own locks.
-  std::vector<LakeIndex> shards_ LAKS_GUARDED_BY(mu_);
-  // handle -> id
-  std::vector<std::string> global_ids_ LAKS_GUARDED_BY(mu_);
-  // handle -> (shard, local)
-  std::vector<std::pair<size_t, size_t>> locator_ LAKS_GUARDED_BY(mu_);
-  // shard -> local -> handle
-  std::vector<std::vector<size_t>> to_global_ LAKS_GUARDED_BY(mu_);
-  uint64_t compactions_ LAKS_GUARDED_BY(mu_) = 0;
+  LakeIndex& lake(size_t s) const { return static_cast<LakeIndex&>(shard(s)); }
 };
 
 }  // namespace tsfm::search

@@ -11,7 +11,9 @@
 #define TSFM_SERVER_BACKEND_H_
 
 #include <cstddef>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "search/sharded_lake_index.h"
@@ -32,7 +34,7 @@ namespace tsfm::server {
 class LakeBackend {
  public:
   /// Churn counters reported through the v3 STATS payload.
-  using ChurnCounters = LakeChurnCounters;
+  using ChurnCounters = search::LakeChurnCounters;
 
   virtual ~LakeBackend() = default;
 
@@ -92,83 +94,90 @@ class LakeBackend {
   virtual ChurnCounters Churn() const { return {}; }
 };
 
-/// \brief LakeBackend over an owned in-process ShardedLakeIndex.
+/// \brief LakeBackend over an owned lake coordinator.
 ///
-/// The PR 3 deployment, and — over a 1-shard index loaded from one shard
-/// file — what a lake_shard_worker process serves.
-class InProcessBackend final : public LakeBackend {
+/// Every opcode but SHARD_QUERY maps onto the coordinator's Result
+/// surface, whichever kind of shard it coordinates.
+class CoordinatorBackend : public LakeBackend {
  public:
-  explicit InProcessBackend(search::ShardedLakeIndex index)
-      : index_(std::move(index)) {
-    // A served lake is a live artifact: tables ingested from here on are
-    // churn (delta segments + tombstones), not bulk build, on every shard.
-    index_.Seal();
-  }
-
-  const search::ShardedLakeIndex& index() const { return index_; }
-
-  size_t dim() const override { return index_.dim(); }
-  size_t num_tables() const override { return index_.num_tables(); }
-  size_t num_columns() const override { return index_.num_columns(); }
-  const char* kind() const override { return "in-process"; }
+  size_t dim() const override { return lake_->dim(); }
+  size_t num_tables() const override { return lake_->num_tables(); }
+  size_t num_columns() const override { return lake_->num_columns(); }
 
   Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
       const std::vector<std::vector<float>>& queries, size_t k,
-      ThreadPool* pool) const override;
+      ThreadPool* pool) const override {
+    return lake_->QueryJoinableBatch(queries, k, pool);
+  }
   Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool) const override;
+      ThreadPool* pool) const override {
+    return lake_->QueryUnionableBatch(queries, k, pool);
+  }
+  /// kUnimplemented unless overridden: a coordinator over remote shards
+  /// is not itself a shard (two-level scatter is not supported).
   Result<std::vector<std::vector<ShardHit>>> ShardQuery(
       const std::vector<std::vector<float>>& columns, size_t m,
       ThreadPool* pool) const override;
-  Result<std::vector<std::string>> TableIds() const override;
+  /// One snapshot of the ids, taken under the coordinator's epoch lock.
+  Result<std::vector<std::string>> TableIds() const override {
+    return lake_->TableIds();
+  }
   ShardHealth Health() const override;
   Status AddTable(const std::string& table_id,
-                  const std::vector<std::vector<float>>& columns) override;
-  Status RemoveTable(const std::string& table_id) override;
-  Status Compact(ThreadPool* pool) override;
-  ChurnCounters Churn() const override;
+                  const std::vector<std::vector<float>>& columns) override {
+    return lake_->AddTable(table_id, columns);
+  }
+  Status RemoveTable(const std::string& table_id) override {
+    return lake_->RemoveTable(table_id);
+  }
+  Status Compact(ThreadPool* pool) override { return lake_->Compact(pool); }
+  ChurnCounters Churn() const override { return lake_->Churn(); }
+
+ protected:
+  explicit CoordinatorBackend(std::unique_ptr<search::LakeCoordinator> lake)
+      : lake_(std::move(lake)) {}
+  const search::LakeCoordinator& lake() const { return *lake_; }
 
  private:
-  search::ShardedLakeIndex index_;
+  std::unique_ptr<search::LakeCoordinator> lake_;
 };
 
-/// \brief LakeBackend over a DistributedLakeIndex coordinator.
+/// \brief The coordinator over in-process shards.
 ///
-/// Lets the public LakeServer front a fleet of shard worker processes with
-/// the exact same wire surface clients already speak. ShardQuery is
-/// rejected (a coordinator is not itself a shard).
-class DistributedBackend final : public LakeBackend {
+/// The single-server deployment, and — over a 1-shard index loaded from
+/// one shard file — what a lake_shard_worker process serves.
+class InProcessBackend final : public CoordinatorBackend {
  public:
-  explicit DistributedBackend(DistributedLakeIndex index)
-      : index_(std::move(index)) {}
+  /// A served lake is a live artifact: tables ingested from here on are
+  /// churn (delta segments + tombstones), not bulk build, on every shard.
+  explicit InProcessBackend(search::ShardedLakeIndex index);
 
-  const DistributedLakeIndex& index() const { return index_; }
-
-  size_t dim() const override { return index_.dim(); }
-  size_t num_tables() const override { return index_.num_tables(); }
-  size_t num_columns() const override { return index_.num_columns(); }
-  const char* kind() const override { return "distributed"; }
-
-  Result<std::vector<std::vector<std::string>>> QueryJoinableBatch(
-      const std::vector<std::vector<float>>& queries, size_t k,
-      ThreadPool* pool) const override;
-  Result<std::vector<std::vector<std::string>>> QueryUnionableBatch(
-      const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      ThreadPool* pool) const override;
+  const search::ShardedLakeIndex& index() const {
+    return static_cast<const search::ShardedLakeIndex&>(lake());
+  }
+  const char* kind() const override { return "in-process"; }
+  /// The lake's global top-`m` hits per column in one batched scatter:
+  /// what a worker answers its coordinator.
   Result<std::vector<std::vector<ShardHit>>> ShardQuery(
       const std::vector<std::vector<float>>& columns, size_t m,
       ThreadPool* pool) const override;
-  Result<std::vector<std::string>> TableIds() const override;
-  ShardHealth Health() const override;
-  Status AddTable(const std::string& table_id,
-                  const std::vector<std::vector<float>>& columns) override;
-  Status RemoveTable(const std::string& table_id) override;
-  Status Compact(ThreadPool* pool) override;
-  ChurnCounters Churn() const override;
+};
 
- private:
-  DistributedLakeIndex index_;
+/// \brief The coordinator over shard worker processes.
+///
+/// Lets the public LakeServer front a fleet of shard worker processes with
+/// the exact same wire surface clients already speak.
+class DistributedBackend final : public CoordinatorBackend {
+ public:
+  explicit DistributedBackend(DistributedLakeIndex index)
+      : CoordinatorBackend(
+            std::make_unique<DistributedLakeIndex>(std::move(index))) {}
+
+  const DistributedLakeIndex& index() const {
+    return static_cast<const DistributedLakeIndex&>(lake());
+  }
+  const char* kind() const override { return "distributed"; }
 };
 
 }  // namespace tsfm::server

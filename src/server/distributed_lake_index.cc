@@ -1,226 +1,9 @@
 #include "server/distributed_lake_index.h"
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
 #include <utility>
 
-#include "search/lake_index.h"
-#include "search/lake_manifest.h"
-#include "server/lake_client.h"
-#include "util/hash.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
-#include "util/thread_pool.h"
-
 namespace tsfm::server {
-
-using search::ColumnEmbeddingIndex;
-using search::TableRanker;
-
-namespace {
-
-/// One worker endpoint with its pool of warm connections. Heap-allocated
-/// (the mutex pins it) and shared-fate: a transport failure drops every
-/// idle connection, since they all point at the same dead process.
-struct ShardEndpoint {
-  std::string socket_path;
-  Mutex mu;
-  std::vector<std::unique_ptr<LakeClient>> idle LAKS_GUARDED_BY(mu);
-};
-
-}  // namespace
-
-struct DistributedLakeIndex::State {
-  // options through shards are written only by Connect, before the State
-  // is published behind a DistributedLakeIndex; afterwards they are
-  // immutable (the ShardEndpoint objects carry their own locks), so they
-  // are read without a lock.
-  DistributedOptions options;
-  search::IndexBackend backend = search::IndexBackend::kFlat;
-  search::Metric metric = search::Metric::kCosine;
-  size_t dim = 0;
-  std::vector<std::unique_ptr<ShardEndpoint>> shards;
-
-  // Lock order: writer_mu before maps_mu (before any ShardEndpoint::mu).
-  //
-  // `maps_mu` pins a map epoch: queries hold it shared across their whole
-  // scatter+remap+rank so a concurrent Compact's map swap (unique) can
-  // never tear a result. `writer_mu` serializes mutations against each
-  // other; fields only mutations touch (the coordinator's mirror of each
-  // worker's newest-live rule) are guarded by it alone, since no query
-  // ever reads them.
-  Mutex writer_mu;
-  mutable SharedMutex maps_mu LAKS_ACQUIRED_AFTER(writer_mu);
-
-  size_t num_columns LAKS_GUARDED_BY(maps_mu) = 0;
-  // handle -> id
-  std::vector<std::string> global_ids LAKS_GUARDED_BY(maps_mu);
-  // shard -> local -> handle
-  std::vector<std::vector<size_t>> to_global LAKS_GUARDED_BY(maps_mu);
-  uint64_t pending_delta_tables LAKS_GUARDED_BY(maps_mu) = 0;
-  uint64_t pending_tombstones LAKS_GUARDED_BY(maps_mu) = 0;
-  uint64_t compactions LAKS_GUARDED_BY(maps_mu) = 0;
-
-  // --- mutation bookkeeping, guarded by writer_mu only ---
-  // handle -> (shard, local)
-  std::vector<std::pair<size_t, size_t>> locator LAKS_GUARDED_BY(writer_mu);
-  // handle -> tombstoned?
-  std::vector<uint8_t> dead LAKS_GUARDED_BY(writer_mu);
-  std::unordered_map<std::string, std::vector<size_t>> handles_by_id
-      LAKS_GUARDED_BY(writer_mu);
-  // Cleared when Connect finds a churned manifest: the handshake cannot
-  // see which handles the workers have tombstoned, so the coordinator's
-  // newest-live bookkeeping could diverge from theirs. Queries still work.
-  bool mutable_ok LAKS_GUARDED_BY(writer_mu) = true;
-  // Set when a mutation fails after it may have reached a worker: the
-  // coordinator's maps may disagree with worker handle spaces, so further
-  // mutations are refused until a fresh Connect (queries stay available
-  // against the old epoch).
-  bool mutations_broken LAKS_GUARDED_BY(writer_mu) = false;
-
-  /// Scatters one SHARD_QUERY over all workers and remaps hits to global
-  /// handles: result[column] holds one sorted list per shard, ready for
-  /// TableRanker::MergeColumnHits. Lives on State (not the public class)
-  /// so the shared-lock requirement can name maps_mu directly.
-  Result<std::vector<std::vector<
-      std::vector<search::ColumnEmbeddingIndex::ColumnHit>>>>
-  ScatterColumnHits(const std::vector<std::vector<float>>& columns, size_t m,
-                    ThreadPool* pool) LAKS_REQUIRES_SHARED(maps_mu);
-
-  Status Annotate(size_t shard, const Status& status) const {
-    return Status(status.code(), "shard " + std::to_string(shard) + " (" +
-                                     shards[shard]->socket_path +
-                                     "): " + status.message());
-  }
-
-  Result<std::unique_ptr<LakeClient>> Acquire(size_t shard) {
-    ShardEndpoint& ep = *shards[shard];
-    {
-      MutexLock lock(&ep.mu);
-      if (!ep.idle.empty()) {
-        auto client = std::move(ep.idle.back());
-        ep.idle.pop_back();
-        return client;
-      }
-    }
-    auto client = std::make_unique<LakeClient>(options.max_frame_bytes);
-    client->set_timeout_ms(options.shard_timeout_ms);
-    if (Status s = client->Connect(ep.socket_path); !s.ok()) return s;
-    return client;
-  }
-
-  void Release(size_t shard, std::unique_ptr<LakeClient> client) {
-    if (client == nullptr || !client->connected()) return;
-    ShardEndpoint& ep = *shards[shard];
-    MutexLock lock(&ep.mu);
-    if (ep.idle.size() < options.max_idle_connections_per_shard) {
-      ep.idle.push_back(std::move(client));
-    }
-  }
-
-  // A dead worker invalidates every pooled connection to it at once;
-  // dropping them makes the retry below connect fresh instead of cycling
-  // through stale fds.
-  void DropIdle(size_t shard) {
-    ShardEndpoint& ep = *shards[shard];
-    MutexLock lock(&ep.mu);
-    ep.idle.clear();
-  }
-
-  /// \brief Runs `fn(client)` against shard `shard` with retry-once.
-  ///
-  /// A transport failure (the client closed its connection: worker died,
-  /// timeout, stale socket) drops the shard's idle pool and retries once
-  /// on a fresh connection — queries are idempotent reads, so a resend is
-  /// safe. A server-side error (connection still open) is deterministic
-  /// and returned immediately. Every error is annotated with the shard
-  /// number and socket path.
-  template <typename Fn>
-  auto CallShard(size_t shard, Fn&& fn) -> decltype(fn(
-      std::declval<LakeClient&>())) {
-    Status last = Status::OK();
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      auto conn = Acquire(shard);
-      if (!conn.ok()) {
-        last = conn.status();
-        DropIdle(shard);
-        continue;
-      }
-      std::unique_ptr<LakeClient> client = std::move(conn).value();
-      auto result = fn(*client);
-      const bool transport_failure = !result.ok() && !client->connected();
-      Release(shard, std::move(client));
-      if (result.ok()) return result;
-      if (!transport_failure) return Annotate(shard, result.status());
-      last = result.status();
-      DropIdle(shard);
-    }
-    return Annotate(shard, last);
-  }
-
-  /// \brief Runs a Status-returning mutation against shard `shard`,
-  /// exactly once.
-  ///
-  /// Mutations are not idempotent, so unlike CallShard a transport
-  /// failure is never retried: if the request may have reached the worker
-  /// (the connection dropped after the send), `*maybe_applied` is set and
-  /// the caller must treat the coordinator's bookkeeping as suspect. A
-  /// failure to even connect leaves `*maybe_applied` false — the mutation
-  /// definitely did not happen.
-  template <typename Fn>
-  Status CallShardMutation(size_t shard, bool* maybe_applied, Fn&& fn) {
-    *maybe_applied = false;
-    auto conn = Acquire(shard);
-    if (!conn.ok()) {
-      DropIdle(shard);
-      return Annotate(shard, conn.status());
-    }
-    std::unique_ptr<LakeClient> client = std::move(conn).value();
-    Status status = fn(*client);
-    const bool transport_failure = !status.ok() && !client->connected();
-    Release(shard, std::move(client));
-    if (transport_failure) {
-      *maybe_applied = true;
-      DropIdle(shard);
-    }
-    return status.ok() ? status : Annotate(shard, status);
-  }
-};
-
-DistributedLakeIndex::DistributedLakeIndex(std::unique_ptr<State> state)
-    : state_(std::move(state)) {}
-
-DistributedLakeIndex::DistributedLakeIndex(DistributedLakeIndex&&) noexcept =
-    default;
-DistributedLakeIndex& DistributedLakeIndex::operator=(
-    DistributedLakeIndex&&) noexcept = default;
-DistributedLakeIndex::~DistributedLakeIndex() = default;
-
-size_t DistributedLakeIndex::num_shards() const { return state_->shards.size(); }
-size_t DistributedLakeIndex::num_tables() const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  return st.global_ids.size();
-}
-size_t DistributedLakeIndex::num_columns() const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  return st.num_columns;
-}
-size_t DistributedLakeIndex::dim() const { return state_->dim; }
-search::IndexBackend DistributedLakeIndex::backend() const {
-  return state_->backend;
-}
-search::Metric DistributedLakeIndex::metric() const { return state_->metric; }
-std::string DistributedLakeIndex::table_id(size_t handle) const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  return st.global_ids[handle];
-}
-const std::string& DistributedLakeIndex::worker_socket(size_t shard) const {
-  return state_->shards[shard]->socket_path;
-}
 
 Result<DistributedLakeIndex> DistributedLakeIndex::Connect(
     const std::string& manifest_path,
@@ -229,462 +12,50 @@ Result<DistributedLakeIndex> DistributedLakeIndex::Connect(
   Result<search::LakeManifest> parsed =
       search::LoadLakeManifest(manifest_path);
   if (!parsed.ok()) return parsed.status();
-  const search::LakeManifest manifest = std::move(parsed).value();
+  const search::LakeManifest& manifest = parsed.value();
   if (worker_sockets.size() != manifest.num_shards()) {
     return Status::InvalidArgument(
         "manifest " + manifest_path + " has " +
         std::to_string(manifest.num_shards()) + " shards but " +
         std::to_string(worker_sockets.size()) + " worker sockets were given");
   }
-
-  auto state = std::make_unique<State>();
-  State& st = *state;
-  // `st` is not visible to any other thread until the return publishes it;
-  // the locks are uncontended and exist for the checker. Lock order
-  // writer_mu -> maps_mu as everywhere else.
-  MutexLock writer(&st.writer_mu);
-  WriterMutexLock maps_lock(&st.maps_mu);
-  state->options = options;
-  state->backend = manifest.backend;
-  state->metric = manifest.metric;
-  state->dim = static_cast<size_t>(manifest.dim);
-  state->shards.reserve(worker_sockets.size());
-  for (const std::string& socket_path : worker_sockets) {
-    auto ep = std::make_unique<ShardEndpoint>();
-    ep->socket_path = socket_path;
-    state->shards.push_back(std::move(ep));
+  // Per-shard table counts from one locator pass, for the handshakes.
+  std::vector<size_t> expected(manifest.num_shards(), 0);
+  for (const auto& [shard, local] : manifest.locator) ++expected[shard];
+  std::vector<std::unique_ptr<search::Shard>> shards;
+  for (size_t s = 0; s < worker_sockets.size(); ++s) {
+    auto remote = RemoteShard::Connect(s, worker_sockets[s], manifest,
+                                       expected[s], options);
+    if (!remote.ok()) return remote.status();
+    shards.push_back(std::move(remote).value());
   }
-
-  // Handshake every worker: health must agree with the manifest, and the
-  // table list sizes must match the locator before the global handle space
-  // can be trusted.
-  const size_t num_shards = state->shards.size();
-  // Per-shard table counts from one locator pass up front.
-  std::vector<size_t> expected_counts(num_shards, 0);
-  for (const auto& [shard, local] : manifest.locator) ++expected_counts[shard];
-  std::vector<std::vector<std::string>> shard_tables(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    Result<ShardHealth> health = state->CallShard(
-        s, [](LakeClient& client) { return client.Health(); });
-    if (!health.ok()) return health.status();
-    const ShardHealth& h = health.value();
-    auto reject = [&](const std::string& what) {
-      return state->Annotate(s, Status::InvalidArgument(what));
-    };
-    if (h.protocol_version != kProtocolVersion) {
-      return reject("worker speaks protocol version " +
-                    std::to_string(h.protocol_version) +
-                    ", coordinator requires " +
-                    std::to_string(kProtocolVersion));
-    }
-    if (h.dim != manifest.dim) {
-      return reject("worker dim " + std::to_string(h.dim) +
-                    " disagrees with manifest dim " +
-                    std::to_string(manifest.dim));
-    }
-    if (h.backend != static_cast<uint8_t>(manifest.backend) ||
-        h.metric != static_cast<uint8_t>(manifest.metric)) {
-      return reject("worker backend/metric disagrees with the manifest");
-    }
-    const size_t expected_tables = expected_counts[s];
-    if (h.num_tables != expected_tables) {
-      return reject("worker holds " + std::to_string(h.num_tables) +
-                    " tables, manifest routes " +
-                    std::to_string(expected_tables) + " to this shard");
-    }
-    Result<std::vector<std::string>> tables = state->CallShard(
-        s, [](LakeClient& client) { return client.ShardTables(); });
-    if (!tables.ok()) return tables.status();
-    if (tables.value().size() != expected_tables) {
-      return reject("worker table list disagrees with its health counters");
-    }
-    shard_tables[s] = std::move(tables).value();
-    st.num_columns += static_cast<size_t>(h.num_columns);
+  search::IndexOptions index_options;
+  index_options.backend = manifest.backend;
+  index_options.metric = manifest.metric;
+  index_options.storage = manifest.storage;
+  DistributedLakeIndex index(static_cast<size_t>(manifest.dim), index_options,
+                             std::move(shards));
+  if (Status status = index.IndexFromLocator(manifest, manifest_path);
+      !status.ok()) {
+    return status;
   }
-
-  // Rebuild the global handle space in insertion order from the locator,
-  // exactly as ShardedLakeIndex::Load does — this is what keeps the Fig 6
-  // tie-breaking identical between the two deployments.
-  st.to_global.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    st.to_global[s].assign(shard_tables[s].size(), SIZE_MAX);
-  }
-  st.global_ids.reserve(manifest.num_tables());
-  for (const auto& [shard, local] : manifest.locator) {
-    if (local >= st.to_global[shard].size() ||
-        st.to_global[shard][local] != SIZE_MAX) {
-      return Status::ParseError("lake manifest " + manifest_path +
-                                " has an invalid or duplicate table record");
-    }
-    const size_t handle = st.global_ids.size();
-    st.to_global[shard][local] = handle;
-    st.locator.emplace_back(static_cast<size_t>(shard),
-                            static_cast<size_t>(local));
-    st.handles_by_id[shard_tables[shard][local]].push_back(handle);
-    st.global_ids.push_back(shard_tables[shard][local]);
-  }
-  st.dead.assign(st.global_ids.size(), 0);
-  // A churned manifest means the workers carry tombstones this handshake
-  // cannot see, so the coordinator's newest-live bookkeeping would
-  // diverge from theirs: serve queries, refuse mutations.
-  if (manifest.live_tables < manifest.num_tables()) {
-    st.mutable_ok = false;
-    st.pending_tombstones = manifest.num_tables() - manifest.live_tables;
-  }
-  // The guards only reference st, which the moved-from unique_ptr leaves
-  // alive (it now lives behind the returned index), so unlocking at scope
-  // exit is safe.
-  return DistributedLakeIndex(std::move(state));
-}
-
-Result<std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>>
-DistributedLakeIndex::State::ScatterColumnHits(
-    const std::vector<std::vector<float>>& columns, size_t m,
-    ThreadPool* pool) {
-  const size_t num_shards = shards.size();
-  std::vector<Result<std::vector<std::vector<ShardHit>>>> raw(
-      num_shards, Status::Internal("shard not queried"));
-  auto query_shard = [&](size_t s) {
-    raw[s] = CallShard(s, [&](LakeClient& client) {
-      return client.ShardQuery(columns, m);
-    });
-  };
-  if (pool != nullptr && num_shards > 1) {
-    ParallelFor(pool, 0, num_shards, query_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) query_shard(s);
-  }
-
-  // result[column][shard]: the sorted lists MergeColumnHits expects. The
-  // local->global remap is monotone (locals are insertion-ordered), so
-  // each list stays sorted by (distance, table, column).
-  std::vector<std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>>
-      result(columns.size());
-  for (auto& per_shard : result) per_shard.resize(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!raw[s].ok()) return raw[s].status();
-    const auto& lists = raw[s].value();
-    if (lists.size() != columns.size()) {
-      return Annotate(
-          s, Status::ParseError("worker answered " +
-                                std::to_string(lists.size()) +
-                                " hit lists for " +
-                                std::to_string(columns.size()) + " columns"));
-    }
-    for (size_t c = 0; c < lists.size(); ++c) {
-      auto& out = result[c][s];
-      out.reserve(lists[c].size());
-      for (const ShardHit& hit : lists[c]) {
-        if (hit.table >= to_global[s].size()) {
-          return Annotate(
-              s, Status::ParseError("worker returned unknown table handle " +
-                                    std::to_string(hit.table)));
-        }
-        out.push_back({to_global[s][hit.table], hit.column, hit.distance});
-      }
-    }
-  }
-  return result;
-}
-
-Result<std::vector<std::string>> DistributedLakeIndex::QueryJoinable(
-    const std::vector<float>& query_column, size_t k, ThreadPool* pool) const {
-  // Pin one map epoch across the whole scatter+remap+rank: a concurrent
-  // Compact re-densifies the maps under the unique side of this lock.
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  auto scattered = st.ScatterColumnHits({query_column}, k * 3, pool);
-  if (!scattered.ok()) return scattered.status();
-  auto merged = TableRanker::MergeColumnHits(scattered.value()[0], k * 3);
-  return search::RankedTableIds(
-      st.global_ids,
-      TableRanker::RankFromSingleColumnHits(merged, /*exclude=*/SIZE_MAX), k);
-}
-
-Result<std::vector<std::string>> DistributedLakeIndex::QueryUnionable(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    ThreadPool* pool) const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  auto scattered = st.ScatterColumnHits(query_columns, k * 3, pool);
-  if (!scattered.ok()) return scattered.status();
-  std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>> per_column_hits;
-  per_column_hits.reserve(query_columns.size());
-  for (const auto& per_shard : scattered.value()) {
-    per_column_hits.push_back(TableRanker::MergeColumnHits(per_shard, k * 3));
-  }
-  return search::RankedTableIds(
-      st.global_ids,
-      TableRanker::RankFromColumnHits(per_column_hits, /*exclude=*/SIZE_MAX),
-      k);
-}
-
-namespace {
-
-// Shared batch fan-out: per-query results gathered under the same
-// pool-or-serial rules as ShardedLakeIndex's batch entry points, with the
-// first shard failure (lowest query index) failing the batch.
-template <typename Query, typename Fn>
-Result<std::vector<std::vector<std::string>>> RunBatch(
-    const std::vector<Query>& queries, ThreadPool* pool, Fn&& run_one) {
-  std::vector<Result<std::vector<std::string>>> results(
-      queries.size(), Status::Internal("query not run"));
-  if (pool != nullptr && queries.size() > 1) {
-    // Fan out over queries; the per-query scatter stays serial because
-    // ParallelFor must not nest on one pool.
-    ParallelFor(pool, 0, queries.size(),
-                [&](size_t q) { results[q] = run_one(queries[q], nullptr); });
-  } else {
-    for (size_t q = 0; q < queries.size(); ++q) {
-      results[q] = run_one(queries[q], pool);
-    }
-  }
-  std::vector<std::vector<std::string>> out;
-  out.reserve(queries.size());
-  for (auto& result : results) {
-    if (!result.ok()) return result.status();
-    out.push_back(std::move(result).value());
-  }
-  return out;
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<std::string>>>
-DistributedLakeIndex::QueryJoinableBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    ThreadPool* pool) const {
-  return RunBatch(query_columns, pool,
-                  [&](const std::vector<float>& q, ThreadPool* p) {
-                    return QueryJoinable(q, k, p);
-                  });
-}
-
-Result<std::vector<std::vector<std::string>>>
-DistributedLakeIndex::QueryUnionableBatch(
-    const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-    ThreadPool* pool) const {
-  return RunBatch(queries, pool,
-                  [&](const std::vector<std::vector<float>>& q, ThreadPool* p) {
-                    return QueryUnionable(q, k, p);
-                  });
-}
-
-namespace {
-
-// Gate shared by every coordinator mutation; callers hold writer_mu.
-Status MutationGate(bool mutable_ok, bool mutations_broken) {
-  if (!mutable_ok) {
-    return Status::InvalidArgument(
-        "coordinator connected to a churned manifest; compact the lake "
-        "before serving mutations through a coordinator");
-  }
-  if (mutations_broken) {
-    return Status::Internal(
-        "a previous mutation failed in flight and coordinator bookkeeping "
-        "may disagree with the workers; reconnect to recover");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status DistributedLakeIndex::AddTable(
-    const std::string& table_id, const std::vector<std::vector<float>>& columns) {
-  State& st = *state_;
-  MutexLock writer(&st.writer_mu);
-  if (Status s = MutationGate(st.mutable_ok, st.mutations_broken); !s.ok()) {
-    return s;
-  }
-  const size_t shard = StableShard(table_id, st.shards.size());
-  bool maybe_applied = false;
-  Status sent = st.CallShardMutation(shard, &maybe_applied,
-                                     [&](LakeClient& client) {
-                                       return client.AddTable(table_id, columns);
-                                     });
-  if (!sent.ok()) {
-    // A server-side rejection (dim mismatch, ...) did not mutate the
-    // worker; only a maybe-delivered send poisons the bookkeeping.
-    st.mutations_broken = maybe_applied;
-    return sent;
-  }
-  WriterMutexLock lock(&st.maps_mu);
-  const size_t handle = st.global_ids.size();
-  st.to_global[shard].push_back(handle);
-  st.locator.emplace_back(shard, st.to_global[shard].size() - 1);
-  st.handles_by_id[table_id].push_back(handle);
-  st.global_ids.push_back(table_id);
-  st.dead.push_back(0);
-  st.num_columns += columns.size();
-  ++st.pending_delta_tables;
-  return Status::OK();
-}
-
-Status DistributedLakeIndex::RemoveTable(const std::string& table_id) {
-  State& st = *state_;
-  MutexLock writer(&st.writer_mu);
-  if (Status s = MutationGate(st.mutable_ok, st.mutations_broken); !s.ok()) {
-    return s;
-  }
-  // Resolve the victim locally first (the coordinator mirrors the owning
-  // worker's newest-live rule, so a miss here needs no wire trip).
-  size_t victim = SIZE_MAX;
-  auto it = st.handles_by_id.find(table_id);
-  if (it != st.handles_by_id.end() && !it->second.empty()) {
-    victim = it->second.back();
-  }
-  if (victim == SIZE_MAX) {
-    return Status::NotFound("no live table with id \"" + table_id + "\"");
-  }
-  const size_t shard = StableShard(table_id, st.shards.size());
-  bool maybe_applied = false;
-  Status sent = st.CallShardMutation(
-      shard, &maybe_applied,
-      [&](LakeClient& client) { return client.RemoveTable(table_id); });
-  if (!sent.ok()) {
-    // The worker disagreeing that the table exists is also divergence.
-    st.mutations_broken = maybe_applied || sent.code() == StatusCode::kNotFound;
-    return sent;
-  }
-  WriterMutexLock lock(&st.maps_mu);
-  st.dead[victim] = 1;
-  it->second.pop_back();
-  if (it->second.empty()) st.handles_by_id.erase(it);
-  ++st.pending_tombstones;
-  return Status::OK();
-}
-
-Status DistributedLakeIndex::Compact(ThreadPool* pool) {
-  State& st = *state_;
-  MutexLock writer(&st.writer_mu);
-  if (Status s = MutationGate(st.mutable_ok, st.mutations_broken); !s.ok()) {
-    return s;
-  }
-  const size_t num_shards = st.shards.size();
-
-  // Phase 1: every worker folds its deltas + tombstones (full rebuild of
-  // churned shards, so the remap below is deterministic). A partial
-  // success leaves worker handle spaces out of step with these maps, so
-  // any failure disables further mutations until a fresh Connect.
-  std::vector<Status> compacted(num_shards, Status::OK());
-  std::vector<uint8_t> applied(num_shards, 0);
-  auto compact_shard = [&](size_t s) {
-    bool maybe_applied = false;
-    compacted[s] = st.CallShardMutation(
-        s, &maybe_applied, [](LakeClient& client) { return client.Compact(); });
-    applied[s] = compacted[s].ok() || maybe_applied;
-  };
-  if (pool != nullptr && num_shards > 1) {
-    ParallelFor(pool, 0, num_shards, compact_shard);
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) compact_shard(s);
-  }
-  size_t first_failure = num_shards;
-  bool any_applied = false;
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (!compacted[s].ok() && first_failure == num_shards) first_failure = s;
-    if (applied[s]) any_applied = true;
-  }
-  if (first_failure != num_shards) {
-    // Only a clean sweep of server-side rejections (nothing applied
-    // anywhere) leaves the old epoch intact and retryable.
-    if (any_applied) st.mutations_broken = true;
-    return compacted[first_failure];
-  }
-
-  // Phase 2: verify each worker's post-compaction shape against the
-  // survivor counts these maps predict. global_ids is pinned with a brief
-  // shared lock (queries keep running); dead and locator need only
-  // writer_mu, which this function holds throughout.
-  std::vector<size_t> survivors(num_shards, 0);
-  size_t live_columns = 0;
-  {
-    ReaderMutexLock maps_lock(&st.maps_mu);
-    for (size_t h = 0; h < st.global_ids.size(); ++h) {
-      if (!st.dead[h]) ++survivors[st.locator[h].first];
-    }
-  }
-  for (size_t s = 0; s < num_shards; ++s) {
-    Result<ShardHealth> health = st.CallShard(
-        s, [](LakeClient& client) { return client.Health(); });
-    if (!health.ok()) {
-      st.mutations_broken = true;
-      return health.status();
-    }
-    if (health.value().num_tables != survivors[s]) {
-      st.mutations_broken = true;
-      return st.Annotate(
-          s, Status::Internal(
-                 "worker holds " + std::to_string(health.value().num_tables) +
-                 " tables after compaction, coordinator expected " +
-                 std::to_string(survivors[s]) + "; reconnect to recover"));
-    }
-    live_columns += static_cast<size_t>(health.value().num_columns);
-  }
-
-  // Phase 3: re-densify the global maps exactly as each worker's full
-  // rebuild did — survivors keep their per-shard insertion order — so the
-  // new local handle spaces line up without another table-list fetch.
-  std::vector<std::string> new_ids;
-  std::vector<std::pair<size_t, size_t>> new_locator;
-  std::vector<std::vector<size_t>> new_to_global(num_shards);
-  std::unordered_map<std::string, std::vector<size_t>> new_handles_by_id;
-  {
-    // Build off the exclusive lock (queries keep running against the old
-    // epoch); the shared lock pins global_ids, and writer_mu — held since
-    // entry — keeps the whole read-build-swap sequence atomic against
-    // other mutations even across the lock-upgrade gap below.
-    ReaderMutexLock maps_lock(&st.maps_mu);
-    new_ids.reserve(st.global_ids.size());
-    for (size_t h = 0; h < st.global_ids.size(); ++h) {
-      if (st.dead[h]) continue;
-      const size_t shard = st.locator[h].first;
-      const size_t handle = new_ids.size();
-      new_to_global[shard].push_back(handle);
-      new_locator.emplace_back(shard, new_to_global[shard].size() - 1);
-      new_handles_by_id[st.global_ids[h]].push_back(handle);
-      new_ids.push_back(st.global_ids[h]);
-    }
-  }
-  WriterMutexLock lock(&st.maps_mu);
-  st.global_ids = std::move(new_ids);
-  st.locator = std::move(new_locator);
-  st.to_global = std::move(new_to_global);
-  st.handles_by_id = std::move(new_handles_by_id);
-  st.dead.assign(st.global_ids.size(), 0);
-  st.num_columns = live_columns;
-  st.pending_delta_tables = 0;
-  st.pending_tombstones = 0;
-  ++st.compactions;
-  return Status::OK();
-}
-
-LakeChurnCounters DistributedLakeIndex::Churn() const {
-  State& st = *state_;
-  ReaderMutexLock lock(&st.maps_mu);
-  LakeChurnCounters counters;
-  counters.pending_delta_tables = st.pending_delta_tables;
-  counters.pending_tombstones = st.pending_tombstones;
-  counters.compactions = st.compactions;
-  return counters;
+  return index;
 }
 
 Result<std::vector<ShardHealth>> DistributedLakeIndex::Health() const {
-  std::vector<ShardHealth> health(state_->shards.size());
-  for (size_t s = 0; s < state_->shards.size(); ++s) {
-    Result<ShardHealth> one = state_->CallShard(
-        s, [](LakeClient& client) { return client.Health(); });
+  std::vector<ShardHealth> health;
+  for (size_t s = 0; s < num_shards(); ++s) {
+    Result<ShardHealth> one = remote(s).Health();
     if (!one.ok()) return one.status();
-    health[s] = std::move(one).value();
+    health.push_back(std::move(one).value());
   }
   return health;
 }
 
 Result<ServerStats> DistributedLakeIndex::AggregateStats() const {
   ServerStats total;
-  for (size_t s = 0; s < state_->shards.size(); ++s) {
-    Result<ServerStats> one = state_->CallShard(
-        s, [](LakeClient& client) { return client.Stats(); });
+  for (size_t s = 0; s < num_shards(); ++s) {
+    Result<ServerStats> one = remote(s).Stats();
     if (!one.ok()) return one.status();
     const ServerStats& stats = one.value();
     total.requests += stats.requests;

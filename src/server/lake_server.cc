@@ -144,15 +144,13 @@ void LakeServer::MaybeAutoCompact() {
     return;
   }
   if (compacting_.exchange(true)) return;  // one in flight is enough
-  // The compaction itself runs serially (pool=nullptr): its task lives on
-  // the query pool, and ParallelFor must not nest on the pool it runs on.
   // Stop() drains the query pool, so a compaction in flight at shutdown
   // completes rather than being torn out from under the backend.
   if (!query_pool_->Submit([this] {
         // Ignorable: there is no client on this code path to report a
         // failure to, and it already shows up in the still-elevated churn
         // counters the next STATS read returns.
-        (void)backend_->Compact(nullptr);
+        (void)backend_->Compact(query_pool_.get());
         compacting_.store(false);
       })) {
     compacting_.store(false);
@@ -283,9 +281,9 @@ Response LakeServer::HandleRequest(Request&& request) {
     return response;
   }
   if (op == Opcode::kCompact) {
-    // Blocks this handler until the fold finishes — the client asked for a
-    // compaction and gets told when it is durable. Concurrent queries keep
-    // serving against the pre-compaction epoch until the atomic swap.
+    // Blocks this handler until the compaction finishes — the client asked
+    // for one and gets told when it is durable. Queries keep serving the
+    // pre-compaction epoch until the backend's one-epoch commit.
     if (Status s = backend_->Compact(query_pool_.get()); !s.ok()) {
       return Response::Error(op, s);
     }

@@ -19,9 +19,8 @@ namespace {
 
 // Codec-level sanity caps. The socket layer already bounds a frame's total
 // bytes, but a garbage payload can still claim absurd element counts; these
-// caps turn that into kParseError before any large allocation. Every
-// legitimate message is far below them.
-constexpr uint64_t kMaxColumns = 1u << 16;
+// caps (kMaxColumns lives in protocol.h) turn that into kParseError before
+// any large allocation. Every legitimate message is far below them.
 constexpr uint64_t kMaxDim = 1u << 16;
 constexpr uint64_t kMaxIds = 1u << 20;
 constexpr uint64_t kMaxIdBytes = 1u << 20;

@@ -166,17 +166,21 @@ void ShardWorkerFleet::KillWorker(size_t shard) {
 }
 
 void ShardWorkerFleet::StopAll() {
-  for (pid_t& pid : pids_) {
+  for (pid_t pid : pids_) {
     // Ignorable: StopAll is the tear-everything-down path (tests, fatal
     // exits); a worker that already died or refuses the handshake is
     // SIGKILLed by StopShardWorkerProcess itself, so there is nothing
     // more to do with its Status here.
     if (pid > 0) (void)StopShardWorkerProcess(pid);
-    pid = -1;
   }
+  // Unlink once and forget the paths: a later StopAll (the destructor, or
+  // a move-assignment over this stopped fleet) must not unlink sockets a
+  // newer fleet on the same prefix has bound since.
   for (const std::string& socket_path : sockets_) {
     ::unlink(socket_path.c_str());
   }
+  sockets_.clear();
+  pids_.clear();
 }
 
 Status StopShardWorkerProcess(pid_t pid, int timeout_ms) {

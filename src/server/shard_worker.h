@@ -147,7 +147,8 @@ class ShardWorkerFleet {
   /// crashed worker; StopAll skips it afterwards).
   void KillWorker(size_t shard);
 
-  /// Stops every still-running worker and unlinks the sockets. Idempotent.
+  /// Stops every still-running worker, unlinks the sockets and leaves the
+  /// fleet empty. Idempotent.
   void StopAll();
 
  private:

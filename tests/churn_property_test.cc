@@ -412,7 +412,7 @@ TEST(ChurnPropertyTest, ConcurrentQueriesDuringPooledCompactionStayClean) {
         ASSERT_TRUE(model.Remove(id));
       }
     }
-    ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.0, &pool).ok());
+    ASSERT_TRUE(index.Compact(&pool).ok());
     // On a single hardware thread the mutator can lap the querier without
     // it ever being scheduled; insist on real interleaving each round.
     const size_t target = queries_run.load() + 1;

@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <sstream>
@@ -203,6 +204,69 @@ TEST_P(DistributedParityTest, BatchEntryPointsMatchWithAndWithoutPool) {
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DistributedParityTest,
                          testing::Values(1, 2, 4));
 
+// Summed SHARD_QUERY frames the workers have served (STATS counts them as
+// requests; STATS itself is not counted).
+uint64_t ShardFrames(const DistributedLakeIndex& coordinator) {
+  auto stats = coordinator.AggregateStats();
+  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+  return stats.ok() ? stats.value().requests : 0;
+}
+
+TEST(DistributedBatchTest, BatchScattersOneFramePerShard) {
+  Corpus corpus = MakeCorpus(40, 91);
+  ShardedLakeIndex reference = BuildIndex(corpus, 2);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+  auto coordinator =
+      DistributedLakeIndex::Connect(fleet.manifest_path(), fleet.sockets());
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  const DistributedLakeIndex& dist = coordinator.value();
+
+  // Ten join queries reach each worker as one SHARD_QUERY, not ten.
+  const uint64_t before = ShardFrames(dist);
+  auto join = dist.QueryJoinableBatch(corpus.join_queries, 5);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value(), reference.QueryJoinableBatch(corpus.join_queries, 5));
+  EXPECT_EQ(ShardFrames(dist) - before, 2u);
+
+  // So do ten two-column union queries.
+  const uint64_t mid = ShardFrames(dist);
+  auto got_union = dist.QueryUnionableBatch(corpus.union_queries, 5);
+  ASSERT_TRUE(got_union.ok()) << got_union.status().ToString();
+  EXPECT_EQ(got_union.value(),
+            reference.QueryUnionableBatch(corpus.union_queries, 5));
+  EXPECT_EQ(ShardFrames(dist) - mid, 2u);
+}
+
+TEST(DistributedBatchTest, BatchSplitsAtTheFrameBudgetAndStillMatches) {
+  Corpus corpus = MakeCorpus(40, 92);
+  ShardedLakeIndex reference = BuildIndex(corpus, 2);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+  // k = 5 asks each worker for 15 hits per column: a worst-case response
+  // of 4 + 15 x 16 = 244 bytes per column, so a 1 KiB frame carries 4
+  // columns and the 10-column join batch needs 3 frames per worker.
+  DistributedOptions options;
+  options.max_frame_bytes = 1024;
+  auto coordinator = DistributedLakeIndex::Connect(
+      fleet.manifest_path(), fleet.sockets(), options);
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  const DistributedLakeIndex& dist = coordinator.value();
+
+  const uint64_t before = ShardFrames(dist);
+  auto join = dist.QueryJoinableBatch(corpus.join_queries, 5);
+  ASSERT_TRUE(join.ok()) << join.status().ToString();
+  EXPECT_EQ(join.value(), reference.QueryJoinableBatch(corpus.join_queries, 5));
+  EXPECT_EQ(ShardFrames(dist) - before, 2u * 3u);
+
+  // The union batch's 20 columns split the same way, across query
+  // boundaries, and still rank exactly like the in-process twin.
+  auto got_union = dist.QueryUnionableBatch(corpus.union_queries, 5);
+  ASSERT_TRUE(got_union.ok()) << got_union.status().ToString();
+  EXPECT_EQ(got_union.value(),
+            reference.QueryUnionableBatch(corpus.union_queries, 5));
+}
+
 // A LakeServer fronting the coordinator must be indistinguishable from one
 // fronting the index in-process — same socket protocol, same results.
 TEST(DistributedServerTest, PublicServerOverCoordinatorMatchesInProcess) {
@@ -281,6 +345,32 @@ TEST(DistributedFaultTest, KilledWorkerYieldsStatusNamingTheShardNotAHang) {
   auto batch = coordinator.value().QueryJoinableBatch(corpus.join_queries, 5);
   ASSERT_FALSE(batch.ok());
   EXPECT_NE(batch.status().message().find("shard 1"), std::string::npos);
+}
+
+TEST(DistributedFaultTest, StoppedFleetNeverUnlinksASuccessorsSockets) {
+  ShardedLakeIndex reference = BuildIndex(MakeCorpus(20, 81), 1);
+  const std::string manifest =
+      testing::TempDir() + "/" + UniqueName("tsfm_fleet_") + ".laks";
+  ASSERT_TRUE(reference.Save(manifest).ok());
+  const std::string prefix = "/tmp/" + UniqueName("tsfm_fleet_sock_");
+
+  auto first = ShardWorkerFleet::Spawn(manifest, prefix);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ShardWorkerFleet fleet_a = std::move(first).value();
+  fleet_a.StopAll();
+  // Fleet B binds the very socket names fleet A used.
+  auto fleet_b = ShardWorkerFleet::Spawn(manifest, prefix);
+  ASSERT_TRUE(fleet_b.ok()) << fleet_b.status().ToString();
+  // Assigning over the stopped fleet must not unlink B's sockets.
+  fleet_a = ShardWorkerFleet();
+
+  LakeClient client;
+  Status connected = client.Connect(fleet_b.value().sockets()[0]);
+  EXPECT_TRUE(connected.ok()) << connected.ToString();
+  client.Close();
+  fleet_b.value().StopAll();
+  std::remove(manifest.c_str());
+  std::remove((manifest + ".shard-0").c_str());
 }
 
 TEST(DistributedFaultTest, WorkerNeverStartedFailsTheHandshakeNamingTheShard) {

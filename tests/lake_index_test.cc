@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "search/lake_index.h"
+#include "search/sharded_lake_index.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
@@ -18,7 +21,7 @@ LakeIndex MakeToyIndex() {
 }
 
 TEST(LakeIndexTest, JoinQueryRanksByNearestColumn) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(MakeToyIndex());
   auto ranked = index.QueryJoinable({1, 0, 0}, 3);
   ASSERT_GE(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], "sales_q1");
@@ -26,7 +29,7 @@ TEST(LakeIndexTest, JoinQueryRanksByNearestColumn) {
 }
 
 TEST(LakeIndexTest, UnionQueryUsesAllColumns) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(MakeToyIndex());
   auto ranked = index.QueryUnionable({{1, 0, 0}, {0, 1, 0}}, 3);
   ASSERT_GE(ranked.size(), 2u);
   // sales_q1 matches both query columns exactly.
@@ -34,7 +37,7 @@ TEST(LakeIndexTest, UnionQueryUsesAllColumns) {
 }
 
 TEST(LakeIndexTest, RespectsK) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(MakeToyIndex());
   EXPECT_LE(index.QueryJoinable({1, 0, 0}, 1).size(), 1u);
 }
 
@@ -47,7 +50,8 @@ TEST(LakeIndexTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_tables(), 3u);
   EXPECT_EQ(loaded.value().dim(), 3u);
-  auto ranked = loaded.value().QueryJoinable({1, 0, 0}, 3);
+  auto ranked = ShardedLakeIndex::FromSingle(std::move(loaded).value())
+                    .QueryJoinable({1, 0, 0}, 3);
   ASSERT_FALSE(ranked.empty());
   EXPECT_EQ(ranked[0], "sales_q1");
   std::remove(path.c_str());
@@ -71,7 +75,8 @@ TEST(LakeIndexTest, SaveLoadRoundTripBothBackends) {
     EXPECT_EQ(loaded.value().options().backend, backend);
     EXPECT_EQ(loaded.value().options().hnsw.ef_search, 96u);
     EXPECT_EQ(loaded.value().num_tables(), 3u);
-    auto ranked = loaded.value().QueryJoinable({1, 0, 0}, 3);
+    auto ranked = ShardedLakeIndex::FromSingle(std::move(loaded).value())
+                      .QueryJoinable({1, 0, 0}, 3);
     ASSERT_FALSE(ranked.empty());
     EXPECT_EQ(ranked[0], "sales_q1");
     std::remove(path.c_str());
@@ -94,9 +99,12 @@ TEST(LakeIndexTest, Sq8SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.value().num_tables(), 3u);
   // The restored index (persisted codec + replayed rows) must rank exactly
   // like the one that wrote the file.
+  ShardedLakeIndex restored =
+      ShardedLakeIndex::FromSingle(std::move(loaded).value());
+  ShardedLakeIndex writer = ShardedLakeIndex::FromSingle(std::move(index));
   for (const std::vector<float> q :
        {std::vector<float>{1, 0, 0}, {0, 1, 0}, {0.5f, 0.5f, 0}}) {
-    EXPECT_EQ(loaded.value().QueryJoinable(q, 3), index.QueryJoinable(q, 3));
+    EXPECT_EQ(restored.QueryJoinable(q, 3), writer.QueryJoinable(q, 3));
   }
   std::remove(path.c_str());
 }
@@ -108,20 +116,21 @@ TEST(LakeIndexTest, Sq8RoundTripFaithfulAfterPostTrainingAdds) {
   // produced a different calibration.
   IndexOptions options;
   options.storage = Storage::kSq8;
-  LakeIndex index(3, options);
+  ShardedLakeIndex index(3, 1, options);
   index.AddTable("sales_q1", {{1, 0, 0}, {0, 1, 0}});
   (void)index.QueryJoinable({1, 0, 0}, 1);  // trains the codec
   index.AddTable("outlier", {{9, -9, 9}});  // outside the calibrated range
 
   std::string path = testing::TempDir() + "/tsfm_lake_sq8_posttrain.bin";
   ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = LakeIndex::Load(path);
+  auto loaded = ShardedLakeIndex::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   for (const std::vector<float> q :
        {std::vector<float>{1, 0, 0}, {9, -9, 9}}) {
     EXPECT_EQ(loaded.value().QueryJoinable(q, 3), index.QueryJoinable(q, 3));
   }
   std::remove(path.c_str());
+  std::remove((path + ".shard-0").c_str());
 }
 
 TEST(LakeIndexTest, FloatFilesStayOnVersionTwo) {
@@ -168,14 +177,15 @@ TEST(LakeIndexTest, LoadsLegacyHeaderlessFormat) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().options().backend, search::IndexBackend::kFlat);
   EXPECT_EQ(loaded.value().num_tables(), 2u);
-  auto ranked = loaded.value().QueryJoinable({1, 0}, 2);
+  auto ranked = ShardedLakeIndex::FromSingle(std::move(loaded).value())
+                    .QueryJoinable({1, 0}, 2);
   ASSERT_FALSE(ranked.empty());
   EXPECT_EQ(ranked[0], "alpha");
   std::remove(path.c_str());
 }
 
 TEST(LakeIndexTest, BatchQueriesMatchSerial) {
-  LakeIndex index = MakeToyIndex();
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(MakeToyIndex());
   std::vector<std::vector<float>> join_queries = {
       {1, 0, 0}, {0, 1, 0}, {0, 0, 1}};
   std::vector<std::vector<std::vector<float>>> union_queries = {
@@ -207,8 +217,42 @@ TEST(LakeIndexTest, LoadRejectsMissingFile) {
   EXPECT_FALSE(LakeIndex::Load("/nonexistent/lake.bin").ok());
 }
 
+void PatchU64At(const std::string& path, size_t offset, uint64_t value) {
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  io.seekp(static_cast<std::streamoff>(offset));
+  io.write(reinterpret_cast<const char*>(&value), sizeof(value));
+}
+
+// A version-2 float32 file: magic, version, backend, metric (4 x u32), the
+// HNSW knobs m, ef_construction, ef_search, seed and the dim (5 x u64),
+// then the table count (u64). The first record starts at byte 64 with its
+// id length, the id bytes, then its column count.
+constexpr size_t kFirstRecordOffset = 64;
+
+// A flipped bit in an on-disk count must end in a Status, never in an
+// allocation of the size it claims.
+TEST(LakeIndexTest, HugeRecordIdLengthIsAStatusNotAnAllocation) {
+  LakeIndex index = MakeToyIndex();
+  std::string path = testing::TempDir() + "/tsfm_lake_huge_id.bin";
+  ASSERT_TRUE(index.Save(path).ok());
+  PatchU64At(path, kFirstRecordOffset, uint64_t{1} << 40);
+  EXPECT_FALSE(LakeIndex::Load(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(LakeIndexTest, HugeRecordColumnCountIsAStatusNotAnAllocation) {
+  LakeIndex index = MakeToyIndex();
+  std::string path = testing::TempDir() + "/tsfm_lake_huge_cols.bin";
+  ASSERT_TRUE(index.Save(path).ok());
+  const size_t id_len = std::string("sales_q1").size();
+  PatchU64At(path, kFirstRecordOffset + sizeof(uint64_t) + id_len,
+             uint64_t{1} << 40);
+  EXPECT_FALSE(LakeIndex::Load(path).ok());
+  std::remove(path.c_str());
+}
+
 TEST(LakeIndexTest, EmptyIndexQueriesAreEmpty) {
-  LakeIndex index(4);
+  ShardedLakeIndex index(4, 1);
   EXPECT_TRUE(index.QueryJoinable({1, 0, 0, 0}, 5).empty());
   EXPECT_TRUE(index.QueryUnionable({{1, 0, 0, 0}}, 5).empty());
 }

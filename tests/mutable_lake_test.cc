@@ -191,7 +191,7 @@ TEST(MutableLakeTest, RemoveTableKillsNewestLiveAndReportsNotFound) {
 TEST(MutableLakeTest, PostSealAddsAndRemovesAreVisibleImmediately) {
   const size_t dim = 8;
   Corpus corpus = MakeCorpus(10, dim, 23);
-  LakeIndex index = BuildLake(corpus, dim);
+  ShardedLakeIndex index = ShardedLakeIndex::FromSingle(BuildLake(corpus, dim));
   index.Seal();
 
   // A delta table whose column *is* the probe ranks first instantly.
@@ -216,12 +216,14 @@ TEST(MutableLakeTest, FlatChurnParityHoldsEvenBeforeCompaction) {
   const size_t dim = 16;
   Corpus corpus = MakeCorpus(40, dim, 25);
   ChurnScript script = MakeChurnScript(dim, 26);
-  LakeIndex churned = BuildLake(corpus, dim);
+  ShardedLakeIndex churned =
+      ShardedLakeIndex::FromSingle(BuildLake(corpus, dim));
   churned.Seal();
   ApplyScript(&churned, script);
 
   Corpus survivors = Survivors(corpus, script);
-  LakeIndex rebuilt = BuildLake(survivors, dim);
+  ShardedLakeIndex rebuilt =
+      ShardedLakeIndex::FromSingle(BuildLake(survivors, dim));
   for (const auto& q : corpus.join_queries) {
     EXPECT_EQ(churned.QueryJoinable(q, 5), rebuilt.QueryJoinable(q, 5));
   }
@@ -238,7 +240,8 @@ TEST(MutableLakeTest, CompactRestoresParityForFloat32AndSq8) {
   for (auto storage : {Storage::kFloat32, Storage::kSq8}) {
     IndexOptions options;
     options.storage = storage;
-    LakeIndex index = BuildLake(corpus, dim, options);
+    ShardedLakeIndex index =
+        ShardedLakeIndex::FromSingle(BuildLake(corpus, dim, options));
     index.Seal();
     ApplyScript(&index, script);
     EXPECT_TRUE(index.churned());
@@ -255,7 +258,8 @@ TEST(MutableLakeTest, CompactRestoresParityForFloat32AndSq8) {
     for (size_t h = 0; h < survivors.ids.size(); ++h) {
       EXPECT_EQ(index.table_id(h), survivors.ids[h]);
     }
-    LakeIndex rebuilt = BuildLake(survivors, dim, options);
+    ShardedLakeIndex rebuilt =
+        ShardedLakeIndex::FromSingle(BuildLake(survivors, dim, options));
     for (const auto& q : corpus.join_queries) {
       EXPECT_EQ(index.QueryJoinable(q, 5), rebuilt.QueryJoinable(q, 5));
     }
@@ -287,13 +291,16 @@ TEST(MutableLakeTest, ChurnedSaveWritesV4AndRoundTrips) {
     EXPECT_EQ(loaded.value().pending_delta_tables(),
               index.pending_delta_tables());
     EXPECT_EQ(loaded.value().pending_tombstones(), index.pending_tombstones());
+    ShardedLakeIndex restored =
+        ShardedLakeIndex::FromSingle(std::move(loaded).value());
+    ShardedLakeIndex writer = ShardedLakeIndex::FromSingle(std::move(index));
     for (const auto& q : corpus.join_queries) {
-      EXPECT_EQ(loaded.value().QueryJoinable(q, 5), index.QueryJoinable(q, 5));
+      EXPECT_EQ(restored.QueryJoinable(q, 5), writer.QueryJoinable(q, 5));
     }
     // The loaded lake is sealed: more churn and a compaction still work.
     Rng rng(31);
-    loaded.value().AddTable("post_load", {RandomVec(&rng, dim)});
-    ASSERT_TRUE(loaded.value().Compact().ok());
+    restored.AddTable("post_load", {RandomVec(&rng, dim)});
+    ASSERT_TRUE(restored.Compact().ok());
   }
 }
 
@@ -328,36 +335,30 @@ TEST(MutableLakeTest, NewerOrTruncatedChurnFilesRejectedCleanly) {
   }
 }
 
-TEST(MutableLakeTest, HnswFoldsInPlaceUnderThresholdThenRebuilds) {
+TEST(MutableLakeTest, HnswCompactionRebuildsTheGraph) {
   const size_t dim = 16, k = 10;
   Corpus corpus = MakeCorpus(200, dim, 34);
   ChurnScript script = MakeChurnScript(dim, 35);
   IndexOptions hnsw;
   hnsw.backend = IndexBackend::kHnsw;
   hnsw.hnsw.ef_search = 128;
-  LakeIndex index = BuildLake(corpus, dim, hnsw);
+  ShardedLakeIndex index =
+      ShardedLakeIndex::FromSingle(BuildLake(corpus, dim, hnsw));
   index.Seal();
   ApplyScript(&index, script);
-  const size_t tombstones = index.pending_tombstones();
-  ASSERT_GT(tombstones, 0u);
+  ASSERT_GT(index.pending_tombstones(), 0u);
 
-  // Dead fraction is well under 0.5: fold in place. Deltas enter the
-  // graph; tombstones stay (still filtered at query time).
-  ASSERT_TRUE(index.WouldFoldInPlace(0.5));
-  ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.5).ok());
-  EXPECT_EQ(index.pending_delta_tables(), 0u);
-  EXPECT_EQ(index.pending_tombstones(), tombstones);
-  EXPECT_EQ(index.compactions(), 1u);
-
-  // The default threshold forces the full graph rebuild: handles densify
-  // and the acceptance bar is recall@10 >= 0.95 against flat gold over
-  // the survivors.
+  // Compaction always rebuilds the graph: handles densify and the
+  // acceptance bar is recall@10 >= 0.95 against flat gold over the
+  // survivors.
   ASSERT_TRUE(index.Compact().ok());
+  EXPECT_EQ(index.pending_delta_tables(), 0u);
   EXPECT_EQ(index.pending_tombstones(), 0u);
-  EXPECT_EQ(index.compactions(), 2u);
+  EXPECT_EQ(index.compactions(), 1u);
   Corpus survivors = Survivors(corpus, script);
   EXPECT_EQ(index.num_tables(), survivors.tables.size());
-  LakeIndex flat_gold = BuildLake(survivors, dim);
+  ShardedLakeIndex flat_gold =
+      ShardedLakeIndex::FromSingle(BuildLake(survivors, dim));
   double recall_sum = 0;
   for (const auto& q : corpus.join_queries) {
     auto gold = flat_gold.QueryJoinable(q, k);
@@ -378,7 +379,8 @@ TEST(MutableLakeTest, ShardedChurnParityAcrossShardCountsAndStorage) {
   for (auto storage : {Storage::kFloat32, Storage::kSq8}) {
     IndexOptions options;
     options.storage = storage;
-    LakeIndex rebuilt_gold = BuildLake(survivors, dim, options);
+    ShardedLakeIndex rebuilt_gold =
+        ShardedLakeIndex::FromSingle(BuildLake(survivors, dim, options));
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       ShardedLakeIndex index = BuildShardedLake(corpus, dim, shards, options);
       index.Seal();
@@ -392,7 +394,7 @@ TEST(MutableLakeTest, ShardedChurnParityAcrossShardCountsAndStorage) {
               << shards << " shards, pre-compaction";
         }
       }
-      ASSERT_TRUE(index.Compact(/*hnsw_rebuild_threshold=*/0.0, &pool).ok());
+      ASSERT_TRUE(index.Compact(&pool).ok());
       EXPECT_EQ(index.num_tables(), survivors.tables.size());
       EXPECT_EQ(index.pending_tombstones(), 0u);
       EXPECT_EQ(index.compactions(), 1u);
@@ -499,6 +501,8 @@ TEST(MutableLakeTest, QueriesDuringCompactionSeeExactlyOneEpoch) {
       if (!known) break;
     }
   });
+  // Let the querier get going before the mutations race it.
+  while (checked.load() == 0) std::this_thread::yield();
   for (const auto& [id, cols] : script.adds) {
     index.AddTable(id, cols);
     std::this_thread::yield();
@@ -692,6 +696,84 @@ TEST(MutableLakeServerTest, DistributedCoordinatorMutationsMirrorInProcess) {
     EXPECT_EQ(ranked.value(), twin.QueryUnionable(q, 5));
   }
 
+  for (size_t s = 0; s < shards; ++s) {
+    workers[s]->Stop();
+    ::unlink(sockets[s].c_str());
+  }
+}
+
+TEST(MutableLakeServerTest,
+     DistributedQueriesDuringCompactionSeeExactlyOneEpoch) {
+  // The distributed twin of QueriesDuringCompactionSeeExactlyOneEpoch:
+  // while the coordinator removes tables and compacts its workers, every
+  // concurrent answer must equal a ranking the lake actually passed
+  // through. Workers re-densify their handles as they compact; a
+  // coordinator that let queries pair those handles with its old maps
+  // would answer with the wrong tables.
+  const size_t dim = 8, k = 8, shards = 2;
+  const size_t rounds = 20;
+  Corpus corpus = MakeCorpus(40, dim, 58);
+  const auto probe = corpus.join_queries[0];
+  TempFile manifest("mutable_distributed_epochs.laks");
+  {
+    ShardedLakeIndex built = BuildShardedLake(corpus, dim, shards);
+    ASSERT_TRUE(built.Save(manifest.path()).ok());
+  }
+  std::vector<std::unique_ptr<LakeServer>> workers;
+  std::vector<std::string> sockets;
+  for (size_t s = 0; s < shards; ++s) {
+    auto shard = ShardedLakeIndex::Load(
+        LakeShardFileName(manifest.path(), s));
+    ASSERT_TRUE(shard.ok()) << shard.status().ToString();
+    workers.push_back(
+        std::make_unique<LakeServer>(std::move(shard).value()));
+    sockets.push_back(UniqueSocketPath());
+    ASSERT_TRUE(workers.back()->Start(sockets.back()).ok());
+  }
+  auto connected = DistributedLakeIndex::Connect(manifest.path(), sockets);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  DistributedLakeIndex coordinator = std::move(connected).value();
+
+  // Every legal ranking, from an in-process twin replaying the same calls
+  // (flat compaction is rank-preserving, so it adds no epoch).
+  std::vector<std::vector<std::string>> epochs;
+  {
+    ShardedLakeIndex twin = BuildShardedLake(corpus, dim, shards);
+    twin.Seal();
+    epochs.push_back(twin.QueryJoinable(probe, k));
+    for (size_t round = 0; round < rounds; ++round) {
+      ASSERT_TRUE(twin.RemoveTable(corpus.ids[round]).ok());
+      epochs.push_back(twin.QueryJoinable(probe, k));
+      ASSERT_TRUE(twin.Compact().ok());
+    }
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> checked{0}, unknown{0};
+  std::thread querier([&] {
+    while (!stop.load()) {
+      auto ranked = coordinator.QueryJoinable(probe, k);
+      bool known = false;
+      for (const auto& epoch : epochs) {
+        known = known || (ranked.ok() && ranked.value() == epoch);
+      }
+      if (!known) unknown.fetch_add(1);
+      checked.fetch_add(1);
+    }
+  });
+  // Let the querier get going before the mutations race it.
+  while (checked.load() == 0) std::this_thread::yield();
+  for (size_t round = 0; round < rounds; ++round) {
+    ASSERT_TRUE(coordinator.RemoveTable(corpus.ids[round]).ok());
+    ASSERT_TRUE(coordinator.Compact().ok());
+  }
+  stop.store(true);
+  querier.join();
+  EXPECT_EQ(unknown.load(), 0u) << "of " << checked.load()
+                                << " answers, these matched no epoch";
+  auto final_ranking = coordinator.QueryJoinable(probe, k);
+  ASSERT_TRUE(final_ranking.ok());
+  EXPECT_EQ(final_ranking.value(), epochs.back());
   for (size_t s = 0; s < shards; ++s) {
     workers[s]->Stop();
     ::unlink(sockets[s].c_str());

@@ -3,12 +3,14 @@
 // injection for missing/truncated/legacy files.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
 
+#include "search/lake_manifest.h"
 #include "search/sharded_lake_index.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -43,7 +45,8 @@ ShardedLakeIndex BuildSharded(const Corpus& corpus, size_t dim, size_t shards,
 TEST(ShardedLakeIndexTest, FlatBackendExactParityWithUnsharded) {
   const size_t dim = 16;
   Corpus corpus = MakeCorpus(60, dim, 1);
-  LakeIndex reference = BuildUnsharded(corpus, dim);
+  ShardedLakeIndex reference =
+      ShardedLakeIndex::FromSingle(BuildUnsharded(corpus, dim));
   for (size_t shards : {size_t{1}, size_t{2}, size_t{7}}) {
     ShardedLakeIndex sharded = BuildSharded(corpus, dim, shards);
     EXPECT_EQ(sharded.num_shards(), shards);
@@ -62,7 +65,8 @@ TEST(ShardedLakeIndexTest, FlatBackendExactParityWithUnsharded) {
 TEST(ShardedLakeIndexTest, HnswRecallAtLeastPointNinePerShardCount) {
   const size_t dim = 16, k = 10;
   Corpus corpus = MakeCorpus(200, dim, 2);
-  LakeIndex flat_gold = BuildUnsharded(corpus, dim);
+  ShardedLakeIndex flat_gold =
+      ShardedLakeIndex::FromSingle(BuildUnsharded(corpus, dim));
   IndexOptions hnsw;
   hnsw.backend = IndexBackend::kHnsw;
   hnsw.hnsw.ef_search = 128;
@@ -200,7 +204,8 @@ TEST(ShardedLakeIndexTest, Sq8RecallAtTenVersusFloatFlat) {
   // recall@10 against the float32 flat gold standard is at least 0.99.
   const size_t dim = 32, k = 10;
   Corpus corpus = MakeCorpus(300, dim, 12);
-  LakeIndex flat_gold = BuildUnsharded(corpus, dim);
+  ShardedLakeIndex flat_gold =
+      ShardedLakeIndex::FromSingle(BuildUnsharded(corpus, dim));
   IndexOptions sq8;
   sq8.storage = Storage::kSq8;
   for (size_t shards : {size_t{1}, size_t{4}}) {
@@ -258,6 +263,34 @@ TEST(ShardedLakeIndexTest, TruncatedManifestIsAnErrorNotACrash) {
   std::remove((path + ".shard-1").c_str());
 }
 
+TEST(ShardedLakeIndexTest, HugeManifestTableCountIsAStatusNotAnAllocation) {
+  const size_t dim = 8;
+  Corpus corpus = MakeCorpus(20, dim, 13);
+  ShardedLakeIndex index = BuildSharded(corpus, dim, 2);
+  const std::string name = "tsfm_sharded_huge_count.laks";
+  const std::string path = testing::TempDir() + "/" + name;
+  ASSERT_TRUE(index.Save(path).ok());
+  // A version-1 manifest: magic, version, backend, metric (4 x u32), dim
+  // and shard count (2 x u64), then each shard file name as a u64 length
+  // plus its bytes; the table count follows the names.
+  size_t offset = 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  for (size_t s = 0; s < 2; ++s) {
+    offset += sizeof(uint64_t) + (name + ".shard-" + std::to_string(s)).size();
+  }
+  const uint64_t huge = uint64_t{1} << 32;  // the largest count the format admits
+  {
+    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    io.seekp(static_cast<std::streamoff>(offset));
+    io.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
+  }
+  EXPECT_FALSE(LoadLakeManifest(path).ok());
+  EXPECT_FALSE(ShardedLakeIndex::Load(path).ok());
+  std::remove(path.c_str());
+  for (size_t s = 0; s < 2; ++s) {
+    std::remove((path + ".shard-" + std::to_string(s)).c_str());
+  }
+}
+
 TEST(ShardedLakeIndexTest, LegacyLak2FileLoadsAsOneShard) {
   const size_t dim = 10;
   Corpus corpus = MakeCorpus(25, dim, 7);
@@ -269,8 +302,9 @@ TEST(ShardedLakeIndexTest, LegacyLak2FileLoadsAsOneShard) {
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_shards(), 1u);
   EXPECT_EQ(loaded.value().num_tables(), corpus.tables.size());
+  ShardedLakeIndex reference = ShardedLakeIndex::FromSingle(std::move(single));
   for (const auto& q : corpus.join_queries) {
-    EXPECT_EQ(loaded.value().QueryJoinable(q, 5), single.QueryJoinable(q, 5));
+    EXPECT_EQ(loaded.value().QueryJoinable(q, 5), reference.QueryJoinable(q, 5));
   }
   std::remove(path.c_str());
 }
