@@ -225,11 +225,11 @@ void BM_DistanceKernelL2(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceKernelL2)->ArgsProduct({{64, 384, 768}, {0, 1}});
 
-// Single-thread flat-scan QPS through ScanTopK / ScanTopKSq8 — the loop
-// every flat KnnIndex::Search (and therefore every flat lake query)
-// bottoms out in. Second arg picks the row storage (0 = float32 rows,
-// 1 = sq8 codes + exact rescore); bytes_per_row makes the 4x footprint
-// gap explicit in the report.
+// Single-thread, one-query flat-scan QPS through ScanTopKMulti /
+// ScanTopKMultiSq8 — the loop every flat KnnIndex search (and therefore
+// every flat lake query) bottoms out in. Second arg picks the row storage
+// (0 = float32 rows, 1 = sq8 codes + exact rescore); bytes_per_row makes
+// the 4x footprint gap explicit in the report.
 struct ScanFixture {
   std::vector<float> rows, norms, query;
   search::Sq8Codec codec;
@@ -261,12 +261,12 @@ void ScanTopKBody(benchmark::State& state, const ScanFixture& f,
   const bool sq8 = state.range(1) != 0;
   for (auto _ : state) {
     auto hits =
-        sq8 ? search::ScanTopKSq8(kd, f.query.data(), f.codes.data(), f.codec,
-                                  f.code_norms.data(), num_rows,
-                                  search::Metric::kCosine, 10)
-            : search::ScanTopK(kd, f.query.data(), f.rows.data(),
-                               f.norms.data(), num_rows, dim,
-                               search::Metric::kCosine, 10);
+        sq8 ? search::ScanTopKMultiSq8(kd, f.query.data(), 1, f.codes.data(),
+                                       f.codec, f.code_norms.data(), num_rows,
+                                       search::Metric::kCosine, 10)
+            : search::ScanTopKMulti(kd, f.query.data(), 1, f.rows.data(),
+                                    f.norms.data(), num_rows, dim,
+                                    search::Metric::kCosine, 10);
     benchmark::DoNotOptimize(hits.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(num_rows));

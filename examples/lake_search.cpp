@@ -14,8 +14,11 @@
 //
 // With no arguments, runs a self-contained demo: synthesizes a small lake
 // in a temp directory, indexes it with both backends, and queries it.
+#include <charconv>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
+#include <string_view>
 
 #include "core/embedder.h"
 #include "core/model.h"
@@ -249,6 +252,18 @@ int Demo() {
   return 0;
 }
 
+// A count argument (k, shards): digits only and > 0. strtoul would read
+// "abc" as 0 and "-1" as SIZE_MAX.
+std::optional<size_t> ParseCount(std::string_view arg) {
+  size_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(arg.data(), arg.data() + arg.size(), value);
+  if (ec != std::errc() || end != arg.data() + arg.size() || value == 0) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -296,18 +311,16 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    size_t shards =
-        positional.size() == 2 ? std::strtoul(positional[1].c_str(), nullptr, 10)
-                               : 1;
-    return IndexCommand(argv[2], argv[3], backend, shards, storage);
-  }
-  if (command == "query" && (argc == 4 || argc == 5)) {
-    size_t k = argc == 5 ? std::strtoul(argv[4], nullptr, 10) : 5;
-    return QueryCommand(argv[2], argv[3], k);
-  }
-  if (command == "remote" && (argc == 4 || argc == 5)) {
-    size_t k = argc == 5 ? std::strtoul(argv[4], nullptr, 10) : 5;
-    return RemoteCommand(argv[2], argv[3], k);
+    const std::optional<size_t> shards =
+        positional.size() == 2 ? ParseCount(positional[1]) : 1;
+    if (shards) {
+      return IndexCommand(argv[2], argv[3], backend, *shards, storage);
+    }
+  } else if ((command == "query" || command == "remote") &&
+             (argc == 4 || argc == 5)) {
+    const std::optional<size_t> k = argc == 5 ? ParseCount(argv[4]) : 5;
+    if (k && command == "query") return QueryCommand(argv[2], argv[3], *k);
+    if (k) return RemoteCommand(argv[2], argv[3], *k);
   }
   std::fprintf(stderr,
                "usage: lake_search index <dir> <index-file> [flat|hnsw] "

@@ -56,30 +56,6 @@ float L2SqScalar(const float* a, const float* b, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-float CosineScalar(const float* a, const float* b, size_t n) {
-  float dot = 0.0f, na = 0.0f, nb = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    dot += a[i] * b[i];
-    na += a[i] * a[i];
-    nb += b[i] * b[i];
-  }
-  return CosineDistanceFromDot(dot, std::sqrt(na), std::sqrt(nb));
-}
-
-void DotManyScalar(const float* query, const float* rows, size_t num_rows,
-                   size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotScalar(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManyScalar(const float* query, const float* rows, size_t num_rows,
-                    size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqScalar(query, rows + r * dim, dim);
-  }
-}
-
 // Asymmetric SQ8 references: float query, raw uint8 rows. Same
 // four-accumulator shape as the float kernels so the SIMD agreement
 // contract (1e-4 relative) carries over unchanged.
@@ -117,25 +93,12 @@ float L2SqSq8Scalar(const float* q, const uint8_t* row, size_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-void DotManySq8Scalar(const float* query, const uint8_t* rows, size_t num_rows,
-                      size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotSq8Scalar(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManySq8Scalar(const float* query, const uint8_t* rows,
-                       size_t num_rows, size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqSq8Scalar(query, rows + r * dim, dim);
-  }
-}
-
 // Multi-query reference kernels. The tile walks a block of rows for every
 // query before moving on, so the row block stays hot in L1 across the
 // whole query batch; within a (query, row) pair the arithmetic is the
-// exact pairwise kernel, which keeps every value bit-identical to the
-// *_many kernels above (the contract ScanTopKMulti depends on).
+// exact pairwise kernel, so every value is independent of the batch size
+// (the contract ScanTopKMulti depends on) and equals DotScalar /
+// L2SqScalar bit for bit.
 constexpr size_t kMultiRowTile = 4;
 
 void DotMultiScalar(const float* queries, size_t num_queries,
@@ -195,10 +158,8 @@ void L2SqMultiSq8Scalar(const float* queries, size_t num_queries,
 }
 
 constexpr KernelDispatch kScalarKernels = {
-    "scalar",      DotScalar,        L2SqScalar,        CosineScalar,
-    DotManyScalar, L2SqManyScalar,   DotManySq8Scalar,  L2SqManySq8Scalar,
-    DotMultiScalar,    L2SqMultiScalar,
-    DotMultiSq8Scalar, L2SqMultiSq8Scalar,
+    "scalar",          DotScalar,       L2SqScalar,        DotMultiScalar,
+    L2SqMultiScalar,   DotMultiSq8Scalar, L2SqMultiSq8Scalar,
 };
 
 // -------------------------------------------------------------------- NEON
@@ -244,51 +205,18 @@ float L2SqNeon(const float* a, const float* b, size_t n) {
   return s;
 }
 
-float CosineNeon(const float* a, const float* b, size_t n) {
-  float32x4_t dot = vdupq_n_f32(0.0f), na = vdupq_n_f32(0.0f),
-              nb = vdupq_n_f32(0.0f);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const float32x4_t va = vld1q_f32(a + i);
-    const float32x4_t vb = vld1q_f32(b + i);
-    dot = vfmaq_f32(dot, va, vb);
-    na = vfmaq_f32(na, va, va);
-    nb = vfmaq_f32(nb, vb, vb);
-  }
-  float sdot = vaddvq_f32(dot), sna = vaddvq_f32(na), snb = vaddvq_f32(nb);
-  for (; i < n; ++i) {
-    sdot += a[i] * b[i];
-    sna += a[i] * a[i];
-    snb += b[i] * b[i];
-  }
-  return CosineDistanceFromDot(sdot, std::sqrt(sna), std::sqrt(snb));
-}
-
-void DotManyNeon(const float* query, const float* rows, size_t num_rows,
-                 size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotNeon(query, rows + r * dim, dim);
-  }
-}
-
-void L2SqManyNeon(const float* query, const float* rows, size_t num_rows,
-                  size_t dim, float* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = L2SqNeon(query, rows + r * dim, dim);
-  }
-}
-
-// The float multi kernels loop DotManyNeon/L2SqManyNeon per query instead
-// of tiling queries into the NEON registers: a genuine register tile would
-// change the per-pair accumulation order vs. DotNeon and break the
-// bit-identity contract with per-query ScanTopK on aarch64. The sq8 multi
-// kernels alias the scalar tile for the same reason the *_many_sq8 entries
-// alias scalar below: per-pair values must match that dispatch's own
-// single-query kernels.
+// The float multi kernels run the pairwise kernel per (query, row)
+// instead of tiling queries into the NEON registers, so each value is
+// DotNeon / L2SqNeon of that pair whatever the batch size. The sq8 multi
+// kernels reuse the scalar tile: the widening u8 -> f32 ladder costs most
+// of what the float FMA saves at these dims, and the bandwidth win (4x
+// smaller rows) is ISA-independent.
 void DotMultiNeon(const float* queries, size_t num_queries, const float* rows,
                   size_t num_rows, size_t dim, float* out) {
   for (size_t q = 0; q < num_queries; ++q) {
-    DotManyNeon(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      out[q * num_rows + r] = DotNeon(queries + q * dim, rows + r * dim, dim);
+    }
   }
 }
 
@@ -296,18 +224,15 @@ void L2SqMultiNeon(const float* queries, size_t num_queries,
                    const float* rows, size_t num_rows, size_t dim,
                    float* out) {
   for (size_t q = 0; q < num_queries; ++q) {
-    L2SqManyNeon(queries + q * dim, rows, num_rows, dim, out + q * num_rows);
+    for (size_t r = 0; r < num_rows; ++r) {
+      out[q * num_rows + r] = L2SqNeon(queries + q * dim, rows + r * dim, dim);
+    }
   }
 }
 
-// The sq8 batch kernels reuse the scalar reference on NEON for now: the
-// widening u8 -> f32 ladder costs most of what the float FMA saves at
-// these dims, and the bandwidth win (4x smaller rows) is ISA-independent.
 constexpr KernelDispatch kNeonKernels = {
-    "neon",      DotNeon,      L2SqNeon,         CosineNeon,
-    DotManyNeon, L2SqManyNeon, DotManySq8Scalar, L2SqManySq8Scalar,
-    DotMultiNeon,      L2SqMultiNeon,
-    DotMultiSq8Scalar, L2SqMultiSq8Scalar,
+    "neon",        DotNeon,           L2SqNeon,           DotMultiNeon,
+    L2SqMultiNeon, DotMultiSq8Scalar, L2SqMultiSq8Scalar,
 };
 
 #endif  // __aarch64__
@@ -374,165 +299,12 @@ float Norm(const float* a, size_t n) {
   return std::sqrt(Kernels().dot(a, a, n));
 }
 
-std::vector<ScanHit> ScanTopK(const KernelDispatch& kernels, const float* query,
-                              const float* rows, const float* row_norms,
-                              size_t num_rows, size_t dim, Metric metric,
-                              size_t k) {
-  if (k == 0 || num_rows == 0) return {};
-  const bool cosine = metric == Metric::kCosine;
-  const float query_norm =
-      cosine ? std::sqrt(kernels.dot(query, query, dim)) : 0.0f;
-
-  // Distances are produced a block at a time so the row loop stays inside
-  // the kernel TU; the heap keeps the best k as (distance, row) with the
-  // worst kept candidate on top, ties resolved toward the lower row.
-  using Entry = std::pair<float, size_t>;
-  std::priority_queue<Entry> heap;
-  constexpr size_t kBlockRows = 512;
-  std::vector<float> block(std::min(num_rows, kBlockRows));
-  for (size_t base = 0; base < num_rows; base += kBlockRows) {
-    const size_t count = std::min(kBlockRows, num_rows - base);
-    if (cosine) {
-      kernels.dot_many(query, rows + base * dim, count, dim, block.data());
-    } else {
-      kernels.l2sq_many(query, rows + base * dim, count, dim, block.data());
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const size_t r = base + i;
-      // L2 takes the root here, before the heap: candidates must be
-      // selected and tie-broken on the distances we report, or two squared
-      // values that round to the same float sqrt would order by row
-      // inconsistently with the (distance, row) contract.
-      const float dist =
-          cosine ? CosineDistanceFromDot(block[i], row_norms[r], query_norm)
-                 : std::sqrt(block[i]);
-      if (heap.size() < k) {
-        heap.emplace(dist, r);
-      } else if (Entry(dist, r) < heap.top()) {
-        heap.pop();
-        heap.emplace(dist, r);
-      }
-    }
-  }
-
-  std::vector<ScanHit> out(heap.size());
-  for (size_t i = heap.size(); i-- > 0;) {
-    out[i] = {heap.top().first, heap.top().second};
-    heap.pop();
-  }
-  return out;
-}
-
-std::vector<ScanHit> ScanTopK(const float* query, const float* rows,
-                              const float* row_norms, size_t num_rows,
-                              size_t dim, Metric metric, size_t k) {
-  return ScanTopK(Kernels(), query, rows, row_norms, num_rows, dim, metric, k);
-}
-
-std::vector<ScanHit> ScanTopKSq8(const KernelDispatch& kernels,
-                                 const float* query, const uint8_t* codes,
-                                 const Sq8Codec& codec, const float* row_norms,
-                                 size_t num_rows, Metric metric, size_t k) {
-  if (k == 0 || num_rows == 0) return {};
-  const size_t dim = codec.dim();
-  const bool cosine = metric == Metric::kCosine;
-  const float* scale = codec.scale().data();
-  const float* offset = codec.offset().data();
-
-  // Query pre-transform: fold the affine calibration out of the inner
-  // loop so the u8 kernels stay codec-agnostic.
-  //   kCosine: dot(q, decode(u)) = sum q_i*offset_i + sum (q_i*scale_i)*u_i
-  //            -> prep = q (.) scale, bias added back per row; exact in
-  //            decoded space up to float rounding.
-  //   kL2:     prep_i = (q_i - offset_i) / scale_i makes the kernel's
-  //            sum (prep_i - u_i)^2 a scale-weighted proxy for the decoded
-  //            L2 — monotone enough to pick candidates, never reported
-  //            (the rescore below replaces it with the exact distance).
-  std::vector<float> prep(dim);
-  float bias = 0.0f;
-  if (cosine) {
-    for (size_t i = 0; i < dim; ++i) {
-      prep[i] = query[i] * scale[i];
-      bias += query[i] * offset[i];
-    }
-  } else {
-    for (size_t i = 0; i < dim; ++i) {
-      prep[i] = (query[i] - offset[i]) / scale[i];
-    }
-  }
-  const float query_norm =
-      cosine ? std::sqrt(kernels.dot(query, query, dim)) : 0.0f;
-
-  // Phase 1: scan the u8 rows into a top-C candidate heap. C over-selects
-  // relative to k so quantization noise at the k boundary cannot evict a
-  // true top-k row before the rescore sees it.
-  const size_t candidates = std::min(num_rows, std::max<size_t>(4 * k, 64));
-  using Entry = std::pair<float, size_t>;
-  std::priority_queue<Entry> heap;
-  constexpr size_t kBlockRows = 512;
-  std::vector<float> block(std::min(num_rows, kBlockRows));
-  for (size_t base = 0; base < num_rows; base += kBlockRows) {
-    const size_t count = std::min(kBlockRows, num_rows - base);
-    if (cosine) {
-      kernels.dot_many_sq8(prep.data(), codes + base * dim, count, dim,
-                           block.data());
-    } else {
-      kernels.l2sq_many_sq8(prep.data(), codes + base * dim, count, dim,
-                            block.data());
-    }
-    for (size_t i = 0; i < count; ++i) {
-      const size_t r = base + i;
-      const float score =
-          cosine ? CosineDistanceFromDot(bias + block[i], row_norms[r],
-                                         query_norm)
-                 : block[i];
-      if (heap.size() < candidates) {
-        heap.emplace(score, r);
-      } else if (Entry(score, r) < heap.top()) {
-        heap.pop();
-        heap.emplace(score, r);
-      }
-    }
-  }
-
-  // Phase 2: exact rescore. Decode each candidate and rank it with the
-  // float pairwise kernels, so the distances (and the (distance, row)
-  // order) match a float ScanTopK over the decoded rows.
-  std::vector<float> decoded(dim);
-  std::vector<ScanHit> rescored;
-  rescored.reserve(heap.size());
-  while (!heap.empty()) {
-    const size_t r = heap.top().second;
-    heap.pop();
-    codec.DecodeRow(codes + r * dim, decoded.data());
-    const float dist =
-        cosine ? CosineDistanceFromDot(kernels.dot(query, decoded.data(), dim),
-                                       row_norms[r], query_norm)
-               : std::sqrt(kernels.l2sq(query, decoded.data(), dim));
-    rescored.push_back({dist, r});
-  }
-  std::sort(rescored.begin(), rescored.end(),
-            [](const ScanHit& a, const ScanHit& b) {
-              return a.distance != b.distance ? a.distance < b.distance
-                                              : a.row < b.row;
-            });
-  if (rescored.size() > k) rescored.resize(k);
-  return rescored;
-}
-
-std::vector<ScanHit> ScanTopKSq8(const float* query, const uint8_t* codes,
-                                 const Sq8Codec& codec, const float* row_norms,
-                                 size_t num_rows, Metric metric, size_t k) {
-  return ScanTopKSq8(Kernels(), query, codes, codec, row_norms, num_rows,
-                     metric, k);
-}
-
 namespace {
 
-// Shared heap scaffolding of the multi-query scans: one bounded
-// (distance, row) max-heap per query, fed in ascending row order with the
-// same insert/evict logic as the single-query scans — so given bit-equal
-// block values the kept rows and tie-breaks are bit-equal too.
+// Shared heap scaffolding of the scans: one bounded (distance, row)
+// max-heap per query with the worst kept candidate on top, fed in
+// ascending row order, ties resolved toward the lower row — so given
+// bit-equal block values the kept rows and tie-breaks are bit-equal too.
 using HeapEntry = std::pair<float, size_t>;
 using TopKHeap = std::priority_queue<HeapEntry>;
 
@@ -571,10 +343,10 @@ std::vector<std::vector<ScanHit>> ScanTopKMulti(
     }
   }
 
-  // Same 512-row blocking as ScanTopK — the block boundaries are part of
-  // the bit-identity contract (they decide which rows share a kernel
-  // call). Each block is loaded from memory once for all queries; the
-  // heaps then consume it query-major, in ascending row order per query.
+  // Distances are produced a 512-row block at a time so the row loop stays
+  // inside the kernel TU. Each block is loaded from memory once for all
+  // queries; the heaps then consume it query-major, in ascending row order
+  // per query.
   std::vector<TopKHeap> heaps(num_queries);
   constexpr size_t kBlockRows = 512;
   std::vector<float> block(num_queries * std::min(num_rows, kBlockRows));
@@ -591,6 +363,10 @@ std::vector<std::vector<ScanHit>> ScanTopKMulti(
       const float* vals = block.data() + q * count;
       for (size_t i = 0; i < count; ++i) {
         const size_t r = base + i;
+        // L2 takes the root here, before the heap: candidates must be
+        // selected and tie-broken on the distances we report, or two
+        // squared values that round to the same float sqrt would order by
+        // row inconsistently with the (distance, row) contract.
         const float dist =
             cosine ? CosineDistanceFromDot(vals[i], row_norms[r],
                                            query_norms[q])
@@ -625,7 +401,15 @@ std::vector<std::vector<ScanHit>> ScanTopKMultiSq8(
 
   // Per-query pre-transform, packed row-major so the candidate scan can
   // stream all prepared queries through one multi kernel call per block.
-  // The per-query arithmetic is exactly ScanTopKSq8's.
+  // It folds the affine calibration out of the inner loop so the u8
+  // kernels stay codec-agnostic:
+  //   kCosine: dot(q, decode(u)) = sum q_i*offset_i + sum (q_i*scale_i)*u_i
+  //            -> prep = q (.) scale, bias added back per row; exact in
+  //            decoded space up to float rounding.
+  //   kL2:     prep_i = (q_i - offset_i) / scale_i makes the kernel's
+  //            sum (prep_i - u_i)^2 a scale-weighted proxy for the decoded
+  //            L2 — monotone enough to pick candidates, never reported
+  //            (the rescore below replaces it with the exact distance).
   std::vector<float> prep(num_queries * dim);
   std::vector<float> biases(cosine ? num_queries : 0, 0.0f);
   std::vector<float> query_norms(cosine ? num_queries : 0, 0.0f);
@@ -648,8 +432,12 @@ std::vector<std::vector<ScanHit>> ScanTopKMultiSq8(
   }
 
   // Phase 1: one blocked pass over the u8 rows feeding a top-C candidate
-  // heap per query (same C and tie-breaks as ScanTopKSq8).
-  const size_t candidates = std::min(num_rows, std::max<size_t>(4 * k, 64));
+  // heap per query. C over-selects relative to k so quantization noise at
+  // the k boundary cannot evict a true top-k row before the rescore sees
+  // it. k above num_rows / 4 keeps every row (and 4 * k could wrap).
+  const size_t candidates =
+      k > num_rows / 4 ? num_rows
+                       : std::min(num_rows, std::max<size_t>(4 * k, 64));
   std::vector<TopKHeap> heaps(num_queries);
   constexpr size_t kBlockRows = 512;
   std::vector<float> block(num_queries * std::min(num_rows, kBlockRows));
@@ -675,9 +463,11 @@ std::vector<std::vector<ScanHit>> ScanTopKMultiSq8(
     }
   }
 
-  // Phase 2: per-query exact rescore, identical to ScanTopKSq8 — each
-  // query decodes its own candidate set (the sets differ per query, so
-  // there is nothing to share across the batch here).
+  // Phase 2: per-query exact rescore. Each query decodes its own
+  // candidates and ranks them with the float pairwise kernels, so the
+  // distances (and the (distance, row) order) match a float scan over the
+  // decoded rows. The candidate sets differ per query, so there is nothing
+  // to share across the batch here.
   std::vector<float> decoded(dim);
   for (size_t q = 0; q < num_queries; ++q) {
     const float* query = queries + q * dim;

@@ -1,31 +1,32 @@
 // SIMD distance kernels — the lowest layer of the search stack.
 //
 // Every query in the repo bottoms out in inner-product / L2 scans
-// (KnnIndex::Search) or HNSW neighbour expansion (HnswIndex::Distance).
-// This module owns those loops: a kernel set (dot, squared L2, cosine
-// distance, and one-query-many-rows batch variants) is selected once per
-// process by runtime CPU detection — AVX2+FMA when the CPU has both, NEON
-// on aarch64, portable scalar otherwise — and exposed as plain function
-// pointers so the indexes above never carry their own arithmetic.
+// (KnnIndex's flat scan) or HNSW neighbour expansion (HnswIndex::Distance).
+// This module owns those loops: a kernel set (pairwise dot and squared L2,
+// plus many-queries-many-rows variants over float and SQ8 rows) is
+// selected once per process by runtime CPU detection — AVX2+FMA when the
+// CPU has both, NEON on aarch64, portable scalar otherwise — and exposed
+// as plain function pointers so the indexes above never carry their own
+// arithmetic.
 //
 // Semantics the seam guarantees (so callers cannot diverge):
 //   - Cosine normalization lives HERE. CosineDistanceFromDot folds the
 //     norm division and the zero-norm guard into the kernel layer; no
 //     caller divides by norms itself.
 //   - A zero-norm vector has no direction, so wherever norms are known
-//     (the cosine kernel, CosineDistanceFromDot, and therefore the flat
-//     scan) its cosine distance is kMaxCosineDistance (+inf): it ranks
-//     strictly after every vector with a direction instead of
-//     masquerading as "orthogonal". HnswIndex is the one exception: it
-//     normalizes on insert, so a zero-norm input degrades to the zero
-//     vector at distance 1.0 — see hnsw.h.
+//     (CosineDistanceFromDot, and therefore the flat scan) its cosine
+//     distance is kMaxCosineDistance (+inf): it ranks strictly after every
+//     vector with a direction instead of masquerading as "orthogonal".
+//     HnswIndex is the one exception: it normalizes on insert, so a
+//     zero-norm input degrades to the zero vector at distance 1.0 — see
+//     hnsw.h.
 //   - Accumulation is in float on every path (the SIMD lanes are float;
 //     the scalar reference matches). Kernel sets agree within 1e-4
 //     relative on random vectors (property-tested in
 //     tests/distance_kernels_test.cc) but are NOT bit-identical — never
 //     compare distances across kernel sets with ==. The same contract
-//     covers the batch (*_many) kernels against their pairwise
-//     counterparts: row blocking changes the accumulation order.
+//     covers the multi-query kernels against the pairwise ones: row
+//     blocking changes the accumulation order.
 //
 // Setting LAKS_FORCE_SCALAR=1 in the environment forces the scalar set
 // regardless of CPU, so SIMD/scalar parity is testable on any machine
@@ -54,39 +55,27 @@ inline constexpr float kNormProductEps = 1e-12f;
 /// Pairwise kernel: one value from two length-`n` vectors.
 using PairKernelFn = float (*)(const float* a, const float* b, size_t n);
 
-/// Batch kernel: `query` against `num_rows` contiguous row-major rows of
-/// length `dim`, one output per row. This is what the flat scan streams
-/// through — no per-row indirect call, the row loop lives inside the
-/// selected ISA's translation unit.
-using BatchKernelFn = void (*)(const float* query, const float* rows,
-                               size_t num_rows, size_t dim, float* out);
-
-/// Asymmetric batch kernel: float query against `num_rows` row-major
-/// uint8 SQ8 code rows. The kernels are codec-agnostic — they treat each
-/// byte as the number it is (dot: sum q_i * u_i; l2sq: sum (q_i - u_i)^2)
-/// and ScanTopKSq8 pre-transforms the query per metric so the affine
-/// calibration never enters the inner loop.
-using BatchKernelSq8Fn = void (*)(const float* query, const uint8_t* rows,
-                                  size_t num_rows, size_t dim, float* out);
-
 /// \brief Multi-query batch ("mini-GEMM") kernel: `num_queries` row-major
 /// queries of length `dim` against `num_rows` row-major rows, writing
 /// out[q * num_rows + r].
 ///
-/// This is the batched-server hot loop: the register tile walks several
+/// This is the flat scan's hot loop: the register tile walks several
 /// queries and rows abreast so each row load from memory is shared by the
-/// whole query tile instead of being re-fetched per query. Contract: the
-/// value produced for every (q, r) pair is bit-identical to what the SAME
-/// dispatch's single-query batch kernel (dot_many / l2sq_many) produces
-/// for that row — the tile may reorder which pair is computed when, but
-/// never the accumulation order within a pair. ScanTopKMulti relies on
-/// this to return exactly what per-query ScanTopK calls would.
+/// whole query tile instead of being re-fetched per query. Contract: each
+/// (query, row) value does not depend on `num_queries` — the tile may
+/// reorder which pair is computed when, but never the accumulation order
+/// within a pair. ScanTopKMulti relies on this to return, per query,
+/// exactly what a one-query scan of that query returns.
 using MultiBatchKernelFn = void (*)(const float* queries, size_t num_queries,
                                     const float* rows, size_t num_rows,
                                     size_t dim, float* out);
 
-/// Multi-query variant of BatchKernelSq8Fn, same layout and bit-identity
-/// contract as MultiBatchKernelFn (vs. dot_many_sq8 / l2sq_many_sq8).
+/// Asymmetric multi-query kernel: float queries against row-major uint8
+/// SQ8 code rows, same layout and batch-size contract as
+/// MultiBatchKernelFn. The kernels are codec-agnostic — they treat each
+/// byte as the number it is (dot: sum q_i * u_i; l2sq: sum (q_i - u_i)^2)
+/// and ScanTopKMultiSq8 pre-transforms the queries per metric so the
+/// affine calibration never enters the inner loop.
 using MultiBatchKernelSq8Fn = void (*)(const float* queries,
                                        size_t num_queries,
                                        const uint8_t* rows, size_t num_rows,
@@ -98,11 +87,6 @@ struct KernelDispatch {
   const char* name;        ///< "scalar", "avx2-fma", or "neon"
   PairKernelFn dot;        ///< inner product
   PairKernelFn l2sq;       ///< squared Euclidean distance
-  PairKernelFn cosine;     ///< 1 - cos(a, b); zero norm -> kMaxCosineDistance
-  BatchKernelFn dot_many;  ///< dot of query vs each row
-  BatchKernelFn l2sq_many; ///< squared L2 of query vs each row
-  BatchKernelSq8Fn dot_many_sq8;   ///< dot of float query vs each u8 row
-  BatchKernelSq8Fn l2sq_many_sq8;  ///< squared L2 of float query vs each u8 row
   MultiBatchKernelFn dot_multi;    ///< dot of each query vs each row
   MultiBatchKernelFn l2sq_multi;   ///< squared L2 of each query vs each row
   MultiBatchKernelSq8Fn dot_multi_sq8;   ///< multi-query dot vs u8 rows
@@ -150,12 +134,6 @@ inline float L2Sq(const float* a, const float* b, size_t n) {
   return Kernels().l2sq(a, b, n);
 }
 
-/// Full cosine distance (norms computed internally) via the selected
-/// kernels. Prefer CosineDistanceFromDot when norms are cached.
-inline float CosineDistance(const float* a, const float* b, size_t n) {
-  return Kernels().cosine(a, b, n);
-}
-
 /// \brief Cosine distance from a precomputed dot product and norms.
 ///
 /// The one place cosine normalization happens: 1 - dot / (|a||b|), with
@@ -169,69 +147,29 @@ inline float CosineDistanceFromDot(float dot, float norm_a, float norm_b) {
 /// L2 norm of `a` via the selected kernels.
 float Norm(const float* a, size_t n);
 
-/// One row of a ScanTopK result.
+/// One row of a scan result.
 struct ScanHit {
   float distance;
   size_t row;
 };
 
-/// \brief One-query-many-rows top-k scan: the flat backend's hot loop.
-///
-/// Streams `num_rows` row-major rows through the batch kernels in blocks
-/// and keeps a bounded (distance, row) max-heap, so the inner loop is pure
-/// SIMD with no per-row virtual or indirect dispatch. Returns up to `k`
-/// hits sorted ascending by (distance, row). Under kCosine, `row_norms`
-/// must hold the rows' L2 norms (the query's norm is computed internally;
-/// zero norms yield kMaxCosineDistance). Under kL2, `row_norms` is ignored
-/// and distances are Euclidean (square-rooted).
-std::vector<ScanHit> ScanTopK(const float* query, const float* rows,
-                              const float* row_norms, size_t num_rows,
-                              size_t dim, Metric metric, size_t k);
-
-/// ScanTopK pinned to an explicit kernel set (parity tests, benches).
-std::vector<ScanHit> ScanTopK(const KernelDispatch& kernels, const float* query,
-                              const float* rows, const float* row_norms,
-                              size_t num_rows, size_t dim, Metric metric,
-                              size_t k);
-
 class Sq8Codec;
 
-/// \brief Quantized flat scan: SQ8 code rows in, exact-in-decoded-space
-/// top-k out.
-///
-/// Two phases. (1) Candidate scan: the query is pre-transformed per metric
-/// (kCosine folds the codec's scale into the query and its offset into a
-/// scalar bias, so the u8 dot is the decoded dot exactly; kL2 scans a
-/// scale-weighted proxy in quantized units) and streamed through the
-/// *_many_sq8 batch kernels into a top-C heap with C = max(4k, 64). (2)
-/// Exact rescore: each surviving candidate row is decoded to float and
-/// re-ranked with the pairwise float kernels, so the returned hits carry
-/// the same distances a float scan over the decoded rows would — the L2
-/// proxy's scale weighting never reaches the caller. Under kCosine,
-/// `row_norms` must hold the *decoded* rows' L2 norms; under kL2 it is
-/// ignored. Returns up to k hits sorted ascending by (distance, row).
-std::vector<ScanHit> ScanTopKSq8(const float* query, const uint8_t* codes,
-                                 const Sq8Codec& codec, const float* row_norms,
-                                 size_t num_rows, Metric metric, size_t k);
-
-/// ScanTopKSq8 pinned to an explicit kernel set (parity tests, benches).
-std::vector<ScanHit> ScanTopKSq8(const KernelDispatch& kernels,
-                                 const float* query, const uint8_t* codes,
-                                 const Sq8Codec& codec, const float* row_norms,
-                                 size_t num_rows, Metric metric, size_t k);
-
-/// \brief Multi-query top-k scan: one streaming pass over the rows for a
-/// whole batch of queries ("mini-GEMM" scan).
+/// \brief Top-k flat scan: one streaming pass over the rows for a batch of
+/// queries ("mini-GEMM" scan). The flat backend's only scan.
 ///
 /// `queries` holds `num_queries` row-major queries of length `dim`. The
-/// rows stream through the dot_multi / l2sq_multi kernels block by block
-/// while one bounded top-k heap per query tracks that query's best rows —
-/// so each block of rows is loaded from memory once for the whole batch
-/// instead of once per query. Result q is BIT-IDENTICAL to
-/// ScanTopK(query q, ...) under the same kernel set (same distances, same
-/// rows, same tie-breaks): the multi kernels preserve each (query, row)
-/// pair's accumulation order, and the heap logic is the same. Semantics
-/// of `row_norms`, metric handling, and degenerate inputs match ScanTopK.
+/// rows stream through the dot_multi / l2sq_multi kernels in 512-row
+/// blocks while one bounded (distance, row) max-heap per query keeps that
+/// query's best rows, so each block is loaded from memory once for the
+/// whole batch. Returns, per query, up to `k` hits sorted ascending by
+/// (distance, row). Under kCosine, `row_norms` must hold the rows' L2
+/// norms (query norms are computed internally; zero norms yield
+/// kMaxCosineDistance). Under kL2, `row_norms` is ignored and distances
+/// are Euclidean (square-rooted). Result q does not depend on
+/// `num_queries` (same distances, rows and tie-breaks as a one-query scan
+/// of query q under the same kernel set), because the multi kernels
+/// preserve each (query, row) pair's accumulation order.
 std::vector<std::vector<ScanHit>> ScanTopKMulti(
     const float* queries, size_t num_queries, const float* rows,
     const float* row_norms, size_t num_rows, size_t dim, Metric metric,
@@ -243,14 +181,22 @@ std::vector<std::vector<ScanHit>> ScanTopKMulti(
     const float* rows, const float* row_norms, size_t num_rows, size_t dim,
     Metric metric, size_t k);
 
-/// \brief Multi-query ScanTopKSq8: one candidate-scan pass over the u8
-/// rows for the whole batch, then the usual per-query exact rescore.
+/// \brief Quantized flat scan: SQ8 code rows in, exact-in-decoded-space
+/// top-k out, for a batch of queries.
 ///
-/// Per query the result is bit-identical to ScanTopKSq8 under the same
-/// kernel set: the per-query pre-transform, candidate count C, heap
-/// tie-breaks, and decode-and-rescore phase are the same code paths; only
-/// the candidate scan is blocked across queries (through dot_multi_sq8 /
-/// l2sq_multi_sq8, which preserve per-pair accumulation order).
+/// Two phases. (1) Candidate scan: each query is pre-transformed per
+/// metric (kCosine folds the codec's scale into the query and its offset
+/// into a scalar bias, so the u8 dot is the decoded dot exactly; kL2 scans
+/// a scale-weighted proxy in quantized units) and the u8 rows stream once
+/// for the whole batch through dot_multi_sq8 / l2sq_multi_sq8 into one
+/// top-C heap per query, C = max(4k, 64). (2) Exact rescore: each query's
+/// surviving candidate rows are decoded to float and re-ranked with the
+/// pairwise float kernels, so the returned hits carry the same distances
+/// a float scan over the decoded rows would — the L2 proxy's scale
+/// weighting never reaches the caller. Under kCosine, `row_norms` must
+/// hold the *decoded* rows' L2 norms; under kL2 it is ignored. Per query,
+/// up to k hits sorted ascending by (distance, row); result q does not
+/// depend on `num_queries`.
 std::vector<std::vector<ScanHit>> ScanTopKMultiSq8(
     const float* queries, size_t num_queries, const uint8_t* codes,
     const Sq8Codec& codec, const float* row_norms, size_t num_rows,

@@ -95,24 +95,7 @@ const Sq8Codec* KnnIndex::sq8_codec() const {
 
 std::vector<std::pair<size_t, float>> KnnIndex::Search(const std::vector<float>& query,
                                                        size_t k) const {
-  if (k == 0 || query.size() != dim_ || payloads_.empty()) return {};
-  // The scan streams rows through the selected SIMD kernels; cosine
-  // normalization (and the zero-norm -> kMaxCosineDistance rule) lives in
-  // the kernel seam, not here.
-  std::vector<ScanHit> hits;
-  if (storage_ == Storage::kSq8) {
-    EnsureQuantized();
-    hits = ScanTopKSq8(query.data(), codes_.data(), codec_, norms_.data(),
-                       payloads_.size(), metric_, k);
-  } else {
-    hits = ScanTopK(query.data(), data_.data(), norms_.data(),
-                    payloads_.size(), dim_, metric_, k);
-  }
-  std::vector<std::pair<size_t, float>> out(hits.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    out[i] = {payloads_[hits[i].row], hits[i].distance};
-  }
-  return out;
+  return SearchBatch({query}, k).front();
 }
 
 std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
@@ -120,7 +103,7 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
     ThreadPool* pool) const {
   std::vector<std::vector<std::pair<size_t, float>>> results(queries.size());
   if (k == 0 || payloads_.empty()) return results;
-  // Wrong-dimension queries keep their (empty) slot, matching Search.
+  // Wrong-dimension queries keep their (empty) slot.
   std::vector<size_t> valid;
   valid.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -131,11 +114,13 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
   if (sq8) EnsureQuantized();
 
   // Pack queries into chunks of up to kChunkQueries and give each chunk
-  // one multi-query pass over the rows. The chunk bounds the scan's block
-  // buffer (512 rows x chunk floats) and is the unit of pool parallelism;
-  // per-query results do not depend on which chunk a query lands in (the
-  // multi kernels' per-pair values are batch-size-invariant), so chunked,
-  // pooled, and serial execution all return bit-identical hits.
+  // one multi-query pass over the rows; cosine normalization (and the
+  // zero-norm -> kMaxCosineDistance rule) lives in the kernel seam, not
+  // here. The chunk bounds the scan's block buffer (512 rows x chunk
+  // floats) and is the unit of pool parallelism; per-query results do not
+  // depend on which chunk a query lands in (the multi kernels' per-pair
+  // values are batch-size-invariant), so chunked, pooled, and serial
+  // execution all return bit-identical hits.
   constexpr size_t kChunkQueries = 8;
   const size_t num_chunks = (valid.size() + kChunkQueries - 1) / kChunkQueries;
   auto run_chunk = [&](size_t c) {

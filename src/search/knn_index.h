@@ -54,22 +54,21 @@ class KnnIndex : public VectorIndex {
   /// Cosine distance = 1 - cos(a, b); a zero vector has no direction, so
   /// it (or a zero query) scores kMaxCosineDistance and ranks after every
   /// vector that has one. k == 0 or a query of the wrong dimension returns
-  /// an empty list. The scan runs through the process's selected distance
-  /// kernels (see distance_kernels.h); under kSq8 it is the asymmetric
-  /// int8 scan with exact rescore (ScanTopKSq8), reporting distances in
-  /// decoded space.
+  /// an empty list. A one-query SearchBatch: the same scan, the same hits.
   std::vector<std::pair<size_t, float>> Search(const std::vector<float>& query,
                                                size_t k) const override;
 
-  /// \brief Batched search through the multi-query ("mini-GEMM") scan.
+  /// \brief Batched search through the flat scan.
   ///
   /// Overrides the default per-query fan-out: queries are packed into
-  /// chunks and each chunk makes ONE streaming pass over the rows
-  /// (ScanTopKMulti / ScanTopKMultiSq8), so row loads amortize across the
-  /// batch. Results are bit-identical to calling Search per query — the
-  /// multi scan guarantees it per kernel set — including the degenerate
-  /// cases (k == 0 or a wrong-dimension query yields that query an empty
-  /// list). With a non-null `pool` the chunks fan out over it.
+  /// chunks and each chunk makes ONE streaming pass over the rows through
+  /// the process's selected distance kernels (ScanTopKMulti; under kSq8
+  /// the asymmetric int8 scan with exact rescore, ScanTopKMultiSq8,
+  /// reporting distances in decoded space), so row loads amortize across
+  /// the batch. A query's hits do not depend on the batch it rides in
+  /// (the multi scan guarantees it per kernel set), including the
+  /// degenerate cases (k == 0 or a wrong-dimension query yields that query
+  /// an empty list). With a non-null `pool` the chunks fan out over it.
   std::vector<std::vector<std::pair<size_t, float>>> SearchBatch(
       const std::vector<std::vector<float>>& queries, size_t k,
       ThreadPool* pool = nullptr) const override;
@@ -103,7 +102,7 @@ class KnnIndex : public VectorIndex {
 
  private:
   // Calibrates + encodes the pending float rows on first use (kSq8 only).
-  // Const because it is reached from Search: double-checked on quantized_
+  // Const because it is reached from searches: double-checked on quantized_
   // so the steady state is one relaxed-ish atomic load.
   void EnsureQuantized() const;
 

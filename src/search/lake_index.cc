@@ -221,11 +221,17 @@ Result<std::vector<ColumnHits>> LakeIndex::SearchColumnsBatch(
   // Over-fetch by the tombstoned-column count: at most that many of the
   // top slots can be dead, so filtering still leaves m live hits whenever
   // m live columns exist (exact for flat scans; HNSW is approximate
-  // regardless, and the budget keeps its candidate frontier honest).
-  auto base = index_.SearchColumnsBatch(queries, m + dead_base_columns_, pool);
+  // regardless, and the budget keeps its candidate frontier honest). The
+  // sum saturates: a huge m must not wrap to a small fetch.
+  auto over_fetch = [m](size_t dead) {
+    return m > SIZE_MAX - dead ? SIZE_MAX : m + dead;
+  };
+  auto base =
+      index_.SearchColumnsBatch(queries, over_fetch(dead_base_columns_), pool);
   std::vector<ColumnHits> delta;
   if (delta_ != nullptr) {
-    delta = delta_->SearchColumnsBatch(queries, m + dead_delta_columns_, pool);
+    delta = delta_->SearchColumnsBatch(queries,
+                                       over_fetch(dead_delta_columns_), pool);
   }
   // Base handles precede delta handles, and both lists are sorted by
   // (distance, table, column), so the merge equals one sorted scan over

@@ -53,28 +53,16 @@ std::vector<std::vector<size_t>> RunSearch(const lakebench::SearchBenchmark& ben
   ThreadPool pool(threads);
 
   std::vector<std::vector<size_t>> ranked(bench.queries.size());
-  std::vector<std::vector<size_t>> join_ranked, union_ranked;
-  if (options.shards > 1) {
-    // Sharded path: table handles are assigned in insertion order, so the
-    // global handle of table t is t and the exclude ids carry over.
-    ShardedLakeIndex lake(dim, options.shards, options.index);
-    for (size_t t = 0; t < bench.tables.size(); ++t) {
-      lake.AddTable(std::to_string(t), all_columns[t]);
-    }
-    join_ranked = lake.RankJoinableBatch(join_queries, k, join_excludes, &pool);
-    union_ranked = lake.RankUnionableBatch(union_queries, k, union_excludes,
-                                           &pool);
-  } else {
-    ColumnEmbeddingIndex index(dim, options.index);
-    for (size_t t = 0; t < bench.tables.size(); ++t) {
-      index.AddTable(t, all_columns[t]);
-    }
-    TableRanker ranker(&index);
-    join_ranked = ranker.RankTablesByColumnBatch(join_queries, k, join_excludes,
-                                                 &pool);
-    union_ranked = ranker.RankTablesBatch(union_queries, k, union_excludes,
-                                          &pool);
+  // Table handles are assigned in insertion order, so the global handle
+  // of table t is t and the exclude ids carry over.
+  ShardedLakeIndex lake(dim, options.shards, options.index);
+  for (size_t t = 0; t < bench.tables.size(); ++t) {
+    lake.AddTable(std::to_string(t), all_columns[t]);
   }
+  auto join_ranked =
+      lake.RankJoinableBatch(join_queries, k, join_excludes, &pool);
+  auto union_ranked =
+      lake.RankUnionableBatch(union_queries, k, union_excludes, &pool);
   for (size_t i = 0; i < join_slots.size(); ++i) {
     ranked[join_slots[i]] = std::move(join_ranked[i]);
   }

@@ -8,7 +8,7 @@
 
 #include "lakebench/search_benchmarks.h"
 #include "search/metrics.h"
-#include "search/table_ranker.h"
+#include "search/vector_index.h"
 
 namespace tsfm::search {
 
@@ -21,9 +21,9 @@ using ColumnEmbedFn =
 struct SearchRunOptions {
   IndexOptions index;      ///< ANN backend for the column index
   size_t num_threads = 0;  ///< query fan-out width; 0 = hardware concurrency
-  /// Shard count for the column index. 1 (the default) keeps the single
-  /// unsharded index; > 1 routes the corpus through ShardedLakeIndex with
-  /// scatter/gather ranking. Flat-backend results are identical either way.
+  /// Shard count of the ShardedLakeIndex the corpus is loaded into (1, the
+  /// default, is a one-shard lake under the same coordinator).
+  /// Flat-backend results are identical at every shard count.
   size_t shards = 1;
 };
 

@@ -161,8 +161,10 @@ Result<std::vector<std::vector<size_t>>> LakeCoordinator::Rank(
   // One epoch from scatter to id gather: a concurrent compaction swaps the
   // maps under the exclusive side of this lock.
   ReaderMutexLock lock(&mu_);
-  // Fig 6: each query column over-retrieves k * 3 candidate columns.
-  auto hits = SearchColumnHitsBatchLocked(columns, k * 3, pool);
+  // Fig 6: each query column over-retrieves k * 3 candidate columns,
+  // saturating rather than wrapping for a huge k.
+  const size_t m = k > SIZE_MAX / 3 ? SIZE_MAX : k * 3;
+  auto hits = SearchColumnHitsBatchLocked(columns, m, pool);
   if (!hits.ok()) return hits.status();
   const size_t num_queries =
       offset != nullptr ? offset->size() - 1 : columns.size();

@@ -1,10 +1,15 @@
 #include "sketch/numerical_sketch.h"
 
+#include <cfloat>
 #include <cmath>
 
 namespace tsfm {
 
 float CompressStat(double v) {
+  // Finite cells can still overflow a sum or a variance (three 1e308
+  // cells), so saturate instead of letting inf/nan reach the encoder.
+  if (std::isnan(v)) return 0.0f;
+  if (std::isinf(v)) v = v < 0 ? -DBL_MAX : DBL_MAX;
   double s = v < 0 ? -1.0 : 1.0;
   return static_cast<float>(s * std::log1p(std::fabs(v)));
 }

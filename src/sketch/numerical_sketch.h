@@ -39,6 +39,7 @@ NumericalSketch MakeNumericalSketch(const Column& column);
 /// destabilizes the linear embedding. We apply signed log1p compression:
 /// sign(x) * log1p(|x|). Fractions and widths pass through it too for
 /// uniformity; the transform is monotone so ordering information survives.
+/// Always finite: +-inf saturates to +-log1p(DBL_MAX) and NaN maps to 0.
 float CompressStat(double v);
 
 }  // namespace tsfm

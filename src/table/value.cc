@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/string_util.h"
@@ -40,6 +41,9 @@ std::optional<double> ParseFloat(std::string_view s) {
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
   if (end != buf.c_str() + buf.size()) return std::nullopt;
+  // strtod also accepts "inf", "-nan" and overflowing literals ("1e999");
+  // one such cell would poison every statistic of its column.
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 

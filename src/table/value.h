@@ -27,7 +27,8 @@ const char* ColumnTypeName(ColumnType type);
 /// Attempts to parse `s` as a 64-bit integer (strict: no trailing junk).
 std::optional<int64_t> ParseInt(std::string_view s);
 
-/// Attempts to parse `s` as a double (strict).
+/// Attempts to parse `s` as a finite double (strict: no trailing junk;
+/// "inf", "nan" and out-of-range literals such as "1e999" are rejected).
 std::optional<double> ParseFloat(std::string_view s);
 
 /// \brief Attempts to parse `s` as a date, returning a UNIX-style timestamp

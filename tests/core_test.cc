@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/cross_encoder.h"
 #include "core/embedder.h"
 #include "core/finetuner.h"
@@ -379,6 +381,34 @@ TEST(EmbedderTest, ShapesAndDeterminism) {
   auto ctx_only = embedder.ContextualColumnStates(sketch);
   ASSERT_EQ(ctx_only.size(), 3u);
   for (const auto& c : ctx_only) EXPECT_EQ(c.size(), config.encoder.hidden);
+}
+
+TEST(EmbedderTest, NonFiniteCellsEmbedToFiniteColumns) {
+  // strtod reads "inf", "1e999" and "-nan", and finite cells can overflow
+  // a column's mean or stddev; attention would spread one non-finite
+  // sketch value to every column of the table.
+  Rng rng(10);
+  text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
+  TabSketchFM model(config, &rng);
+  text::Tokenizer tokenizer(&vocab);
+  InputEncoder input_encoder(&config, &tokenizer);
+  Embedder embedder(&model, &input_encoder);
+
+  Table t("odd", "numbers at the edge of double");
+  t.AddColumn("inf", {"1.5", "inf", "2.5"});
+  t.AddColumn("huge", {"1e999", "3", "4"});
+  t.AddColumn("nan", {"-nan", "1", "2"});
+  t.AddColumn("sum_overflows", {"1e308", "1e308", "1e308"});
+  t.AddColumn("var_overflows", {"-1e308", "1e308", "0"});
+  t.InferTypes();
+  SketchOptions opt;
+  opt.num_perm = config.num_perm;
+  const auto cols = embedder.ColumnEmbeddings(BuildTableSketch(t, opt));
+  ASSERT_EQ(cols.size(), 5u);
+  for (size_t c = 0; c < cols.size(); ++c) {
+    for (float x : cols[c]) ASSERT_TRUE(std::isfinite(x)) << "column " << c;
+  }
 }
 
 TEST(EmbedderTest, ZNormalizeAndConcat) {

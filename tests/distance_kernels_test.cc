@@ -1,8 +1,9 @@
 // The distance-kernel seam: scalar/SIMD agreement (the 1e-4 relative
 // tolerance contract), exact tail handling, the cosine normalization and
-// zero-norm semantics the seam owns, ScanTopK vs the pairwise kernels,
-// dispatch selection (including the LAKS_FORCE_SCALAR override), and
-// end-to-end lake parity between kernel sets.
+// zero-norm semantics the seam owns, the scan vs the pairwise kernels,
+// batch-size invariance of the multi-query kernels and scans, dispatch
+// selection (including the LAKS_FORCE_SCALAR override), and end-to-end
+// lake parity between kernel sets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -43,6 +44,17 @@ void ExpectWithinContract(float a, float b) {
   EXPECT_LE(std::abs(a - b), 1e-4f * scale) << a << " vs " << b;
 }
 
+// Cosine distance of `query` to `row` through a one-query, one-row scan:
+// the scan is where the flat backend normalizes.
+float CosineScanDistance(const KernelDispatch& kd,
+                         const std::vector<float>& query,
+                         const std::vector<float>& row) {
+  const float norm = std::sqrt(kd.dot(row.data(), row.data(), row.size()));
+  return ScanTopKMulti(kd, query.data(), 1, row.data(), &norm, 1, row.size(),
+                       Metric::kCosine, 1)[0][0]
+      .distance;
+}
+
 // ------------------------------------------------- scalar/SIMD agreement
 
 TEST(DistanceKernelsTest, KernelSetsAgreeAcrossDims) {
@@ -62,13 +74,13 @@ TEST(DistanceKernelsTest, KernelSetsAgreeAcrossDims) {
                            best.dot(a.data(), b.data(), dim));
       ExpectWithinContract(scalar.l2sq(a.data(), b.data(), dim),
                            best.l2sq(a.data(), b.data(), dim));
-      ExpectWithinContract(scalar.cosine(a.data(), b.data(), dim),
-                           best.cosine(a.data(), b.data(), dim));
+      ExpectWithinContract(CosineScanDistance(scalar, a, b),
+                           CosineScanDistance(best, a, b));
       // The batch kernels must agree with their pairwise counterparts too
       // (their row blocking changes the accumulation order).
       float batch_scalar = 0.0f, batch_best = 0.0f;
-      scalar.dot_many(a.data(), b.data(), 1, dim, &batch_scalar);
-      best.dot_many(a.data(), b.data(), 1, dim, &batch_best);
+      scalar.dot_multi(a.data(), 1, b.data(), 1, dim, &batch_scalar);
+      best.dot_multi(a.data(), 1, b.data(), 1, dim, &batch_best);
       ExpectWithinContract(batch_scalar, batch_best);
       ExpectWithinContract(scalar.dot(a.data(), b.data(), dim), batch_best);
     }
@@ -88,8 +100,8 @@ TEST(DistanceKernelsTest, BatchKernelsMatchPairwiseAcrossRowCounts) {
       }
       for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
         std::vector<float> dots(rows), l2s(rows);
-        kd->dot_many(query.data(), data.data(), rows, dim, dots.data());
-        kd->l2sq_many(query.data(), data.data(), rows, dim, l2s.data());
+        kd->dot_multi(query.data(), 1, data.data(), rows, dim, dots.data());
+        kd->l2sq_multi(query.data(), 1, data.data(), rows, dim, l2s.data());
         for (size_t r = 0; r < rows; ++r) {
           ExpectWithinContract(dots[r],
                                kd->dot(query.data(), data.data() + r * dim, dim));
@@ -152,12 +164,12 @@ TEST(DistanceKernelsTest, Sq8KernelSetsAgreeAcrossDims) {
       const auto q = RandomVec(&rng, dim);
       const auto row = RandomCodes(&rng, dim);
       float dot_scalar = 0.0f, dot_best = 0.0f;
-      scalar.dot_many_sq8(q.data(), row.data(), 1, dim, &dot_scalar);
-      best.dot_many_sq8(q.data(), row.data(), 1, dim, &dot_best);
+      scalar.dot_multi_sq8(q.data(), 1, row.data(), 1, dim, &dot_scalar);
+      best.dot_multi_sq8(q.data(), 1, row.data(), 1, dim, &dot_best);
       ExpectWithinContract(dot_scalar, dot_best);
       float l2_scalar = 0.0f, l2_best = 0.0f;
-      scalar.l2sq_many_sq8(q.data(), row.data(), 1, dim, &l2_scalar);
-      best.l2sq_many_sq8(q.data(), row.data(), 1, dim, &l2_best);
+      scalar.l2sq_multi_sq8(q.data(), 1, row.data(), 1, dim, &l2_scalar);
+      best.l2sq_multi_sq8(q.data(), 1, row.data(), 1, dim, &l2_best);
       ExpectWithinContract(l2_scalar, l2_best);
     }
   }
@@ -182,8 +194,10 @@ TEST(DistanceKernelsTest, Sq8BatchKernelsMatchReferenceAcrossRowCounts) {
       }
       for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
         std::vector<float> dots(rows), l2s(rows);
-        kd->dot_many_sq8(query.data(), codes.data(), rows, dim, dots.data());
-        kd->l2sq_many_sq8(query.data(), codes.data(), rows, dim, l2s.data());
+        kd->dot_multi_sq8(query.data(), 1, codes.data(), rows, dim,
+                          dots.data());
+        kd->l2sq_multi_sq8(query.data(), 1, codes.data(), rows, dim,
+                           l2s.data());
         for (size_t r = 0; r < rows; ++r) {
           ExpectWithinContract(dots[r], ref_dot[r]);
           ExpectWithinContract(l2s[r], ref_l2[r]);
@@ -213,8 +227,8 @@ TEST(DistanceKernelsTest, Sq8IntegerQueriesAreExactIncludingTails) {
     }
     for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
       float dot = 0.0f, l2 = 0.0f;
-      kd->dot_many_sq8(q.data(), codes.data(), 1, dim, &dot);
-      kd->l2sq_many_sq8(q.data(), codes.data(), 1, dim, &l2);
+      kd->dot_multi_sq8(q.data(), 1, codes.data(), 1, dim, &dot);
+      kd->l2sq_multi_sq8(q.data(), 1, codes.data(), 1, dim, &l2);
       EXPECT_EQ(dot, expected_dot) << kd->name << " dim " << dim;
       EXPECT_EQ(l2, expected_l2) << kd->name << " dim " << dim;
     }
@@ -224,18 +238,18 @@ TEST(DistanceKernelsTest, Sq8IntegerQueriesAreExactIncludingTails) {
 // ------------------------------------------------------ cosine semantics
 
 TEST(DistanceKernelsTest, CosineKernelNormalizesInternally) {
-  // Scaling either argument must not change the distance: normalization is
-  // the kernel's job, never a caller-side division.
+  // Scaling a row must not change its distance: normalization is the
+  // seam's job, never a caller-side division.
   Rng rng(47);
   const size_t dim = 13;
   const auto a = RandomVec(&rng, dim);
   auto b = RandomVec(&rng, dim);
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-    const float base = kd->cosine(a.data(), b.data(), dim);
+    const float base = CosineScanDistance(*kd, a, b);
     std::vector<float> scaled = b;
     for (auto& x : scaled) x *= 7.5f;
-    ExpectWithinContract(base, kd->cosine(a.data(), scaled.data(), dim));
-    EXPECT_NEAR(kd->cosine(a.data(), a.data(), dim), 0.0f, 1e-5f);
+    ExpectWithinContract(base, CosineScanDistance(*kd, a, scaled));
+    EXPECT_NEAR(CosineScanDistance(*kd, a, a), 0.0f, 1e-5f);
   }
 }
 
@@ -244,14 +258,14 @@ TEST(DistanceKernelsTest, ZeroNormVectorsScoreMaxCosineDistance) {
   Rng rng(53);
   const auto x = RandomVec(&rng, 11);
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
-    EXPECT_EQ(kd->cosine(zero.data(), x.data(), 11), kMaxCosineDistance);
-    EXPECT_EQ(kd->cosine(x.data(), zero.data(), 11), kMaxCosineDistance);
-    EXPECT_EQ(kd->cosine(zero.data(), zero.data(), 11), kMaxCosineDistance);
+    EXPECT_EQ(CosineScanDistance(*kd, zero, x), kMaxCosineDistance);
+    EXPECT_EQ(CosineScanDistance(*kd, x, zero), kMaxCosineDistance);
+    EXPECT_EQ(CosineScanDistance(*kd, zero, zero), kMaxCosineDistance);
   }
   EXPECT_EQ(CosineDistanceFromDot(0.0f, 0.0f, 1.0f), kMaxCosineDistance);
 }
 
-// --------------------------------------------------------------- ScanTopK
+// ------------------------------------------------------------------ scan
 
 TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
   Rng rng(59);
@@ -284,12 +298,12 @@ TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
       }
       std::sort(ref.begin(), ref.end());
       for (size_t k : {1u, 7u, 64u, 300u, 500u}) {
-        auto hits = ScanTopK(*kd, query.data(), data.data(), norms.data(),
-                             rows, dim, metric, k);
+        auto hits = ScanTopKMulti(*kd, query.data(), 1, data.data(),
+                                  norms.data(), rows, dim, metric, k)[0];
         ASSERT_EQ(hits.size(), std::min<size_t>(k, rows));
         for (size_t i = 0; i < hits.size(); ++i) {
           EXPECT_EQ(hits[i].row, ref[i].second) << kd->name << " k=" << k;
-          // The scan streams through the *_many kernels, whose accumulation
+          // The scan streams through the multi kernels, whose accumulation
           // order may differ from the pairwise kernels — values agree within
           // the tolerance contract, not bit-exactly.
           ExpectWithinContract(hits[i].distance, ref[i].first);
@@ -301,23 +315,25 @@ TEST(DistanceKernelsTest, ScanTopKMatchesPairwiseKernels) {
 
 TEST(DistanceKernelsTest, ScanTopKDegenerateInputs) {
   const std::vector<float> query = {1.0f, 0.0f};
-  EXPECT_TRUE(
-      ScanTopK(query.data(), nullptr, nullptr, 0, 2, Metric::kL2, 5).empty());
+  EXPECT_TRUE(ScanTopKMulti(query.data(), 1, nullptr, nullptr, 0, 2,
+                            Metric::kL2, 5)[0]
+                  .empty());
   const std::vector<float> rows = {0.5f, 0.5f};
-  EXPECT_TRUE(
-      ScanTopK(query.data(), rows.data(), nullptr, 1, 2, Metric::kL2, 0)
-          .empty());
+  EXPECT_TRUE(ScanTopKMulti(query.data(), 1, rows.data(), nullptr, 1, 2,
+                            Metric::kL2, 0)[0]
+                  .empty());
 }
 
 // --------------------------------------------- multi-query (mini-GEMM)
 
 TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
-  // The documented multi-kernel contract: out[q * rows + r] is
-  // BIT-IDENTICAL to what the same dispatch's single-query batch kernel
-  // returns for (query q, row r) — the register tiling may reorder rows
-  // and queries but never an accumulation. Row counts 1..9 cover the
-  // 4-row tile and every remainder; query counts 1..5 cover the 2-query
-  // tile, its odd-query remainder, and the degenerate single query.
+  // The documented multi-kernel contract: out[q * rows + r] does not
+  // depend on the batch size — it is BIT-IDENTICAL to what the same
+  // kernel returns for (query q, row r) in a one-query call. The register
+  // tiling may reorder rows and queries but never an accumulation. Row
+  // counts 1..9 cover the 4-row tile and every remainder; query counts
+  // 1..5 cover the 2-query tile, its odd-query remainder, and the
+  // degenerate single query.
   Rng rng(211);
   const std::vector<size_t> dims = {1, 3, 5, 7, 8, 9, 16, 19, 64, 65, 127};
   for (size_t dim : dims) {
@@ -339,8 +355,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->dot_multi(queries.data(), nq, data.data(), rows, dim,
                         multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->dot_many(queries.data() + q * dim, data.data(), rows, dim,
-                         single.data());
+            kd->dot_multi(queries.data() + q * dim, 1, data.data(), rows,
+                          dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " dot dim=" << dim << " rows=" << rows
@@ -350,8 +366,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->l2sq_multi(queries.data(), nq, data.data(), rows, dim,
                          multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->l2sq_many(queries.data() + q * dim, data.data(), rows, dim,
-                          single.data());
+            kd->l2sq_multi(queries.data() + q * dim, 1, data.data(), rows,
+                           dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " l2sq dim=" << dim << " rows=" << rows
@@ -361,8 +377,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->dot_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
                             multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->dot_many_sq8(queries.data() + q * dim, codes.data(), rows,
-                             dim, single.data());
+            kd->dot_multi_sq8(queries.data() + q * dim, 1, codes.data(),
+                              rows, dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " dot_sq8 dim=" << dim << " rows=" << rows
@@ -372,8 +388,8 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
           kd->l2sq_multi_sq8(queries.data(), nq, codes.data(), rows, dim,
                              multi.data());
           for (size_t q = 0; q < nq; ++q) {
-            kd->l2sq_many_sq8(queries.data() + q * dim, codes.data(), rows,
-                              dim, single.data());
+            kd->l2sq_multi_sq8(queries.data() + q * dim, 1, codes.data(),
+                               rows, dim, single.data());
             for (size_t r = 0; r < rows; ++r) {
               EXPECT_EQ(multi[q * rows + r], single[r])
                   << kd->name << " l2sq_sq8 dim=" << dim << " rows=" << rows
@@ -387,9 +403,10 @@ TEST(DistanceKernelsTest, MultiKernelsBitIdenticalToSingleQueryBatch) {
 }
 
 TEST(DistanceKernelsTest, ScanTopKMultiBitIdenticalToPerQueryScan) {
-  // The whole point of the multi scan: the batch path may not change ANY
-  // answer. 600 rows crosses the 512-row block boundary; dims include
-  // sub-8 tails; a zero-norm row exercises kMaxCosineDistance ranking.
+  // The whole point of the multi scan: batching may not change ANY
+  // answer — query q's hits at num_queries = N equal its own one-query
+  // scan. 600 rows crosses the 512-row block boundary; dims include sub-8
+  // tails; a zero-norm row exercises kMaxCosineDistance ranking.
   Rng rng(223);
   for (size_t dim : {5u, 19u, 64u}) {
     const size_t rows = 600;
@@ -416,8 +433,9 @@ TEST(DistanceKernelsTest, ScanTopKMultiBitIdenticalToPerQueryScan) {
                                      norms.data(), rows, dim, metric, 10);
           ASSERT_EQ(multi.size(), nq);
           for (size_t q = 0; q < nq; ++q) {
-            auto single = ScanTopK(*kd, queries.data() + q * dim, data.data(),
-                                   norms.data(), rows, dim, metric, 10);
+            auto single =
+                ScanTopKMulti(*kd, queries.data() + q * dim, 1, data.data(),
+                              norms.data(), rows, dim, metric, 10)[0];
             ASSERT_EQ(multi[q].size(), single.size());
             for (size_t i = 0; i < single.size(); ++i) {
               EXPECT_EQ(multi[q][i].row, single[i].row)
@@ -464,8 +482,9 @@ TEST(DistanceKernelsTest, ScanTopKMultiSq8BitIdenticalToPerQueryScan) {
           ASSERT_EQ(multi.size(), nq);
           for (size_t q = 0; q < nq; ++q) {
             auto single =
-                ScanTopKSq8(*kd, queries.data() + q * dim, codes.data(),
-                            codec, norms.data(), rows, metric, 10);
+                ScanTopKMultiSq8(*kd, queries.data() + q * dim, 1,
+                                 codes.data(), codec, norms.data(), rows,
+                                 metric, 10)[0];
             ASSERT_EQ(multi[q].size(), single.size());
             for (size_t i = 0; i < single.size(); ++i) {
               EXPECT_EQ(multi[q][i].row, single[i].row)

@@ -1,6 +1,6 @@
 // The SQ8 codec and the quantized flat index built on it: calibration
 // shape, the scale/2 round-trip error bound, encode monotonicity, codec
-// persistence, ScanTopKSq8 against a decoded-float reference, and the
+// persistence, ScanTopKMultiSq8 against a decoded-float reference, and the
 // KnnIndex-level recall + format round-trip guarantees.
 #include <gtest/gtest.h>
 
@@ -165,11 +165,12 @@ TEST(Sq8CodecTest, FromPartsRejectsBadCalibration) {
   EXPECT_TRUE(Sq8Codec::FromParts({1.0f, 2.0f}, {0.0f, -3.0f}).ok());
 }
 
-// ----------------------------------------------------------- ScanTopKSq8
+// ------------------------------------------------------ ScanTopKMultiSq8
 
 TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
-  // The rescore contract: ScanTopKSq8's output must equal ScanTopK run on
-  // the decoded rows — same ids, distances within the kernel tolerance.
+  // The rescore contract: ScanTopKMultiSq8's output must equal
+  // ScanTopKMulti run on the decoded rows — same ids, distances within the
+  // kernel tolerance.
   Rng rng(97);
   const size_t dim = 19, rows = 400;
   const auto data = RandomRows(&rng, rows, dim);
@@ -186,10 +187,12 @@ TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
   for (const KernelDispatch* kd : {&ScalarKernels(), &BestKernels()}) {
     for (Metric metric : {Metric::kCosine, Metric::kL2}) {
       for (size_t k : {1u, 10u, 63u, 400u}) {
-        const auto expected = ScanTopK(*kd, query.data(), decoded.data(),
-                                       norms.data(), rows, dim, metric, k);
-        const auto got = ScanTopKSq8(*kd, query.data(), codes.data(), codec,
-                                     norms.data(), rows, metric, k);
+        const auto expected =
+            ScanTopKMulti(*kd, query.data(), 1, decoded.data(), norms.data(),
+                          rows, dim, metric, k)[0];
+        const auto got =
+            ScanTopKMultiSq8(*kd, query.data(), 1, codes.data(), codec,
+                             norms.data(), rows, metric, k)[0];
         ASSERT_EQ(got.size(), expected.size())
             << kd->name << " k=" << k;
         for (size_t i = 0; i < got.size(); ++i) {
@@ -209,13 +212,13 @@ TEST(Sq8ScanTest, MatchesFloatScanOverDecodedRows) {
 TEST(Sq8ScanTest, DegenerateInputs) {
   const Sq8Codec codec = Sq8Codec::Train(nullptr, 0, 4);
   const std::vector<float> query = {1.0f, 0.0f, 0.0f, 0.0f};
-  EXPECT_TRUE(ScanTopKSq8(query.data(), nullptr, codec, nullptr, 0,
-                          Metric::kL2, 5)
+  EXPECT_TRUE(ScanTopKMultiSq8(query.data(), 1, nullptr, codec, nullptr, 0,
+                               Metric::kL2, 5)[0]
                   .empty());
   const std::vector<uint8_t> codes = {1, 2, 3, 4};
   const std::vector<float> norms = {1.0f};
-  EXPECT_TRUE(ScanTopKSq8(query.data(), codes.data(), codec, norms.data(), 1,
-                          Metric::kCosine, 0)
+  EXPECT_TRUE(ScanTopKMultiSq8(query.data(), 1, codes.data(), codec,
+                               norms.data(), 1, Metric::kCosine, 0)[0]
                   .empty());
 }
 

@@ -1,14 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <tuple>
 
 #include "lakebench/search_benchmarks.h"
+#include "search/distance_kernels.h"
 #include "search/knn_index.h"
 #include "search/metrics.h"
 #include "search/pipeline.h"
+#include "search/sharded_lake_index.h"
 #include "search/table_ranker.h"
 #include "search/vector_index.h"
+#include "test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
 
@@ -242,48 +247,54 @@ TEST(VectorIndexTest, LoadRejectsGarbageStream) {
 }
 
 // ------------------------------------------------------------ TableRanker
+// The Fig 6 ranking runs in the lake coordinator, so these rank through a
+// one-shard ShardedLakeIndex; table t is added as id "t" and gets handle
+// t in insertion order.
+
+ShardedLakeIndex OneShardLake(
+    size_t dim, const std::vector<std::vector<std::vector<float>>>& tables,
+    const IndexOptions& options = {}) {
+  ShardedLakeIndex lake(dim, 1, options);
+  for (size_t t = 0; t < tables.size(); ++t) {
+    lake.AddTable(std::to_string(t), tables[t]);
+  }
+  return lake;
+}
 
 TEST(TableRankerTest, Rank1CountsMatchedColumns) {
-  // Table 100 matches both query columns, table 200 only one.
-  ColumnEmbeddingIndex index(2);
-  index.AddTable(100, {{1, 0}, {0, 1}});
-  index.AddTable(200, {{1, 0}, {0.7f, 0.7f}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTables({{1, 0}, {0, 1}}, 2, /*exclude=*/999);
+  // Table 0 matches both query columns, table 1 only one.
+  const auto lake =
+      OneShardLake(2, {{{1, 0}, {0, 1}}, {{1, 0}, {0.7f, 0.7f}}});
+  auto ranked =
+      lake.RankUnionableBatch({{{1, 0}, {0, 1}}}, 2, {/*exclude=*/999})[0];
   ASSERT_GE(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0], 100u);
+  EXPECT_EQ(ranked[0], 0u);
 }
 
 TEST(TableRankerTest, ExcludesQueryTable) {
-  ColumnEmbeddingIndex index(2);
-  index.AddTable(1, {{1, 0}});
-  index.AddTable(2, {{1, 0}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTables({{1, 0}}, 5, /*exclude=*/1);
-  for (size_t t : ranked) EXPECT_NE(t, 1u);
+  const auto lake = OneShardLake(2, {{{1, 0}}, {{1, 0}}});
+  auto ranked = lake.RankUnionableBatch({{{1, 0}}}, 5, {/*exclude=*/0})[0];
+  for (size_t t : ranked) EXPECT_NE(t, 0u);
 }
 
 TEST(TableRankerTest, ColumnModeRanksByNearestColumn) {
-  ColumnEmbeddingIndex index(2);
-  index.AddTable(1, {{1, 0}, {0, 1}});
-  index.AddTable(2, {{0.6f, 0.8f}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTablesByColumn({1, 0}, 5, 99);
+  const auto lake = OneShardLake(2, {{{1, 0}, {0, 1}}, {{0.6f, 0.8f}}});
+  auto ranked = lake.RankJoinableBatch({{1, 0}}, 5, {99})[0];
   ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0], 1u);
+  EXPECT_EQ(ranked[0], 0u);
 }
 
 TEST(TableRankerTest, BatchRankingMatchesSerial) {
   Rng rng(21);
-  ColumnEmbeddingIndex index(4);
+  std::vector<std::vector<std::vector<float>>> tables;
   for (size_t t = 0; t < 20; ++t) {
     std::vector<std::vector<float>> cols(2, std::vector<float>(4));
     for (auto& col : cols) {
       for (auto& x : col) x = static_cast<float>(rng.Normal());
     }
-    index.AddTable(t, cols);
+    tables.push_back(cols);
   }
-  TableRanker ranker(&index);
+  const auto lake = OneShardLake(4, tables);
   std::vector<std::vector<std::vector<float>>> union_queries;
   std::vector<std::vector<float>> join_queries;
   std::vector<size_t> excludes;
@@ -297,14 +308,15 @@ TEST(TableRankerTest, BatchRankingMatchesSerial) {
     excludes.push_back(q);
   }
   ThreadPool pool(3);
-  auto union_batch = ranker.RankTablesBatch(union_queries, 5, excludes, &pool);
-  auto join_batch = ranker.RankTablesByColumnBatch(join_queries, 5, excludes, &pool);
+  auto union_batch = lake.RankUnionableBatch(union_queries, 5, excludes, &pool);
+  auto join_batch = lake.RankJoinableBatch(join_queries, 5, excludes, &pool);
   ASSERT_EQ(union_batch.size(), 6u);
   ASSERT_EQ(join_batch.size(), 6u);
   for (size_t q = 0; q < 6; ++q) {
-    EXPECT_EQ(union_batch[q], ranker.RankTables(union_queries[q], 5, excludes[q]));
+    EXPECT_EQ(union_batch[q],
+              lake.RankUnionableBatch({union_queries[q]}, 5, {excludes[q]})[0]);
     EXPECT_EQ(join_batch[q],
-              ranker.RankTablesByColumn(join_queries[q], 5, excludes[q]));
+              lake.RankJoinableBatch({join_queries[q]}, 5, {excludes[q]})[0]);
   }
 }
 
@@ -312,13 +324,10 @@ TEST(TableRankerTest, HnswBackedIndexRanksLikeFlatOnSeparatedData) {
   // Two well-separated clusters: approximate search must agree with exact.
   IndexOptions options;
   options.backend = IndexBackend::kHnsw;
-  ColumnEmbeddingIndex index(2, options);
-  index.AddTable(1, {{1, 0}});
-  index.AddTable(2, {{0, 1}});
-  TableRanker ranker(&index);
-  auto ranked = ranker.RankTablesByColumn({0.9f, 0.1f}, 5, SIZE_MAX);
+  const auto lake = OneShardLake(2, {{{1, 0}}, {{0, 1}}}, options);
+  auto ranked = lake.RankJoinableBatch({{0.9f, 0.1f}}, 5, {SIZE_MAX})[0];
   ASSERT_EQ(ranked.size(), 2u);
-  EXPECT_EQ(ranked[0], 1u);
+  EXPECT_EQ(ranked[0], 0u);
 }
 
 // --------------------------------------------------------------- Pipeline
@@ -394,6 +403,88 @@ TEST(PipelineTest, ShardedRunSearchMatchesUnsharded) {
     run.shards = shards;
     EXPECT_EQ(RunSearch(bench, embed, 5, run), reference) << shards << " shards";
   }
+}
+
+TEST(PipelineTest, RunSearchMatchesExactOracle) {
+  // RunSearch against a brute-force oracle: every (query column, corpus
+  // column) distance from the scalar pairwise kernels, each query column's
+  // top 3k by (distance, table, column), then the Fig 6 ranking without
+  // the query table. The scalar multi kernels compute each pair with the
+  // same pairwise call, so equality is exact at every shard count. An odd
+  // dim leaves a tail on every row; a zero-norm column is also a join
+  // query, so its cosine ranking is all ties at kMaxCosineDistance.
+  constexpr size_t kDim = 19, kTables = 60, k = 5;
+  Rng rng(97);
+  lakebench::SearchBenchmark bench;
+  bench.name = "exact-oracle";
+  std::vector<std::vector<std::vector<float>>> embs(kTables);
+  for (size_t t = 0; t < kTables; ++t) {
+    Table table("t" + std::to_string(t), "d");
+    table.AddColumn("c", {"x"});
+    bench.tables.push_back(std::move(table));
+    embs[t].resize(static_cast<size_t>(rng.UniformInt(1, 4)));
+    for (auto& col : embs[t]) col = testutil::RandomVec(&rng, kDim);
+  }
+  embs[10][0].assign(kDim, 0.0f);
+  for (size_t q = 0; q < 12; ++q) {
+    lakebench::SearchQuery query;
+    query.table_index = q * 5;
+    query.column_index = q % 2 == 0 ? 0 : -1;  // join, union, join, ...
+    bench.queries.push_back(query);
+    bench.gold.push_back({q * 5 + 1});
+  }
+  auto embed = [&](size_t t) { return embs[t]; };
+
+  const KernelDispatch& kd = ScalarKernels();
+  internal::OverrideKernelsForTest(&kd);
+  using Hits = std::vector<ColumnEmbeddingIndex::ColumnHit>;
+  auto top_hits = [&](const std::vector<float>& query, Metric metric) {
+    const float query_norm = std::sqrt(kd.dot(query.data(), query.data(), kDim));
+    Hits hits;
+    for (size_t t = 0; t < kTables; ++t) {
+      for (size_t c = 0; c < embs[t].size(); ++c) {
+        const float* col = embs[t][c].data();
+        const float dist =
+            metric == Metric::kCosine
+                ? CosineDistanceFromDot(kd.dot(query.data(), col, kDim),
+                                        std::sqrt(kd.dot(col, col, kDim)),
+                                        query_norm)
+                : std::sqrt(kd.l2sq(query.data(), col, kDim));
+        hits.push_back({t, c, dist});
+      }
+    }
+    std::sort(hits.begin(), hits.end(), [](const auto& a, const auto& b) {
+      return std::tie(a.distance, a.table_id, a.column_index) <
+             std::tie(b.distance, b.table_id, b.column_index);
+    });
+    hits.resize(std::min(hits.size(), 3 * k));
+    return hits;
+  };
+  for (Metric metric : {Metric::kCosine, Metric::kL2}) {
+    std::vector<std::vector<size_t>> oracle;
+    for (const auto& query : bench.queries) {
+      const auto& qcols = embs[query.table_index];
+      if (query.column_index >= 0) {
+        oracle.push_back(TableRanker::RankFromSingleColumnHits(
+            top_hits(qcols[static_cast<size_t>(query.column_index)], metric),
+            query.table_index));
+      } else {
+        std::vector<Hits> per_column;
+        for (const auto& col : qcols) per_column.push_back(top_hits(col, metric));
+        oracle.push_back(
+            TableRanker::RankFromColumnHits(per_column, query.table_index));
+      }
+    }
+    for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
+      SearchRunOptions run;
+      run.index.metric = metric;
+      run.num_threads = 2;
+      run.shards = shards;
+      EXPECT_EQ(RunSearch(bench, embed, k, run), oracle)
+          << shards << " shards, metric " << static_cast<int>(metric);
+    }
+  }
+  internal::OverrideKernelsForTest(nullptr);
 }
 
 TEST(PipelineTest, RandomEmbeddingsScoreLow) {

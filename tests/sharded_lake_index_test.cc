@@ -367,6 +367,39 @@ TEST(ShardedLakeIndexTest, HandlesAssignedInInsertionOrder) {
   EXPECT_EQ(total, 20u);
 }
 
+TEST(ShardedLakeIndexTest, HugeKAnswersLikeEveryColumn) {
+  // A k past the column count asks for everything. k * 3 and the churned
+  // shards' m + dead over-fetch must saturate, not wrap (SIZE_MAX / 3 + 1
+  // wraps k * 3 to 2), and the merge must not reserve k hits up front
+  // (SIZE_MAX throws std::length_error).
+  const size_t dim = 8;
+  Corpus corpus = MakeCorpus(40, dim, 9);
+  ShardedLakeIndex lake(dim, 2);
+  for (size_t t = 0; t < 30; ++t) {
+    lake.AddTable(corpus.ids[t], corpus.tables[t]);
+  }
+  lake.Seal();
+  for (size_t t = 30; t < 40; ++t) {
+    lake.AddTable(corpus.ids[t], corpus.tables[t]);
+  }
+  for (size_t t : {3u, 17u, 22u, 33u}) {
+    ASSERT_TRUE(lake.RemoveTable(corpus.ids[t]).ok());
+  }
+  ASSERT_TRUE(lake.churned());
+  const size_t every_column = lake.num_columns();
+  for (size_t k : {SIZE_MAX, SIZE_MAX / 3 + 1}) {
+    for (const auto& q : corpus.join_queries) {
+      EXPECT_EQ(lake.QueryJoinable(q, k), lake.QueryJoinable(q, every_column))
+          << "k=" << k;
+    }
+    for (const auto& q : corpus.union_queries) {
+      EXPECT_EQ(lake.QueryUnionable(q, k),
+                lake.QueryUnionable(q, every_column))
+          << "k=" << k;
+    }
+  }
+}
+
 TEST(ShardedLakeIndexTest, EmptyIndexQueriesAreEmpty) {
   ShardedLakeIndex index(4, 3);
   EXPECT_TRUE(index.QueryJoinable({1, 0, 0, 0}, 5).empty());

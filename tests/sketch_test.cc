@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
+#include <limits>
 
 #include "sketch/content_snapshot.h"
 #include "sketch/minhash.h"
@@ -106,6 +108,14 @@ TEST(NumericalSketchTest, CompressStatMonotoneAndSigned) {
   EXPECT_LT(CompressStat(10), CompressStat(100));
   EXPECT_FLOAT_EQ(CompressStat(0), 0.0f);
   EXPECT_FLOAT_EQ(CompressStat(-5), -CompressStat(5));
+  // Overflowed statistics saturate instead of reaching the encoder.
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FLOAT_EQ(CompressStat(inf), CompressStat(DBL_MAX));
+  EXPECT_FLOAT_EQ(CompressStat(-inf), -CompressStat(DBL_MAX));
+  EXPECT_TRUE(std::isfinite(CompressStat(inf)));
+  EXPECT_LT(CompressStat(1e308), CompressStat(inf));
+  EXPECT_FLOAT_EQ(CompressStat(std::numeric_limits<double>::quiet_NaN()),
+                  0.0f);
 }
 
 TEST(NumericalSketchTest, LayoutMatchesPaper) {

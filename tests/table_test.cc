@@ -25,6 +25,11 @@ TEST(ValueTest, ParseFloatStrict) {
   EXPECT_DOUBLE_EQ(ParseFloat("1e3").value(), 1000.0);
   EXPECT_FALSE(ParseFloat("abc").has_value());
   EXPECT_FALSE(ParseFloat("1.2x").has_value());
+  EXPECT_FALSE(ParseFloat("inf").has_value());
+  EXPECT_FALSE(ParseFloat("-Infinity").has_value());
+  EXPECT_FALSE(ParseFloat("1e999").has_value());
+  EXPECT_FALSE(ParseFloat("-nan").has_value());
+  EXPECT_DOUBLE_EQ(ParseFloat("1e308").value(), 1e308);
 }
 
 TEST(ValueTest, ParseIsoDate) {
