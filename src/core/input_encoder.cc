@@ -21,6 +21,13 @@ std::vector<float> SnapshotInput(const MinHash& snapshot) {
 
 }  // namespace
 
+InputEncoder::InputEncoder(const TabSketchFMConfig* config,
+                           const text::Tokenizer* tokenizer)
+    : config_(config), tokenizer_(tokenizer) {
+  TSFM_CHECK_LE(tokenizer->vocab().size(), config->vocab_size)
+      << "(tokenizer vocabulary size vs config vocab_size)";
+}
+
 void ApplyAblation(const SketchAblation& ablation, EncodedTable* encoded) {
   for (size_t i = 0; i < encoded->size(); ++i) {
     const bool is_snapshot_token = encoded->column_pos[i] == 0;

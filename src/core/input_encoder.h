@@ -57,8 +57,11 @@ void ApplyAblation(const SketchAblation& ablation, EncodedTable* encoded);
 /// \brief Turns TableSketch objects into EncodedTable sequences.
 class InputEncoder {
  public:
-  InputEncoder(const TabSketchFMConfig* config, const text::Tokenizer* tokenizer)
-      : config_(config), tokenizer_(tokenizer) {}
+  /// The tokenizer's vocabulary must fit the model's embedding table:
+  /// `tokenizer->vocab().size() <= config->vocab_size`, checked here rather
+  /// than at the first out-of-range token id.
+  InputEncoder(const TabSketchFMConfig* config,
+               const text::Tokenizer* tokenizer);
 
   /// Encodes one table: [CLS] desc [SEP] col1 [SEP] col2 ... [SEP].
   EncodedTable EncodeTable(const TableSketch& sketch) const;

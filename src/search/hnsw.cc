@@ -199,19 +199,16 @@ Status HnswIndex::Save(std::ostream& out) const {
   return Status::OK();
 }
 
-Result<HnswIndex> HnswIndex::Load(std::istream& in, bool legacy) {
-  uint32_t metric = static_cast<uint32_t>(Metric::kCosine);
+Result<HnswIndex> HnswIndex::Load(std::istream& in) {
+  uint32_t metric = 0;
   uint64_t m = 0, ef_construction = 0, ef_search = 0, seed = 0;
   uint64_t dim = 0, n = 0;
   int32_t max_level = -1;
   uint32_t entry_point = 0;
-  if (!legacy && !ReadPod(in, &metric)) {
-    return Status::IoError("truncated hnsw header");
-  }
-  if (!ReadPod(in, &m) || !ReadPod(in, &ef_construction) ||
-      !ReadPod(in, &ef_search) || !ReadPod(in, &seed) || !ReadPod(in, &dim) ||
-      !ReadPod(in, &n) || !ReadPod(in, &max_level) ||
-      !ReadPod(in, &entry_point)) {
+  if (!ReadPod(in, &metric) || !ReadPod(in, &m) ||
+      !ReadPod(in, &ef_construction) || !ReadPod(in, &ef_search) ||
+      !ReadPod(in, &seed) || !ReadPod(in, &dim) || !ReadPod(in, &n) ||
+      !ReadPod(in, &max_level) || !ReadPod(in, &entry_point)) {
     return Status::IoError("truncated hnsw header");
   }
   if (metric > static_cast<uint32_t>(Metric::kL2) || dim == 0 ||

@@ -35,11 +35,8 @@ namespace tsfm::search {
 class HnswIndex : public VectorIndex {
  public:
   /// Binary stream tag written by Save ("HNS2" — the layout with a metric
-  /// field). Streams tagged kLegacyFormatTag predate the field and load as
-  /// cosine.
+  /// field).
   static constexpr uint32_t kFormatTag = 0x484e5332;
-  /// Tag of pre-metric streams ("HNSW").
-  static constexpr uint32_t kLegacyFormatTag = 0x484e5357;
 
   HnswIndex(size_t dim, HnswOptions options = {}, Metric metric = Metric::kCosine);
 
@@ -63,11 +60,10 @@ class HnswIndex : public VectorIndex {
   Status Save(std::ostream& out) const override;
 
   /// Restores an index whose format tag has already been consumed (see
-  /// LoadVectorIndex for the tagged entry point). `legacy` selects the
-  /// kLegacyFormatTag layout, which has no metric field and is always
-  /// cosine. The level RNG is re-seeded from the stored options, so later
-  /// Adds remain deterministic.
-  static Result<HnswIndex> Load(std::istream& in, bool legacy = false);
+  /// LoadVectorIndex for the tagged entry point). The level RNG is
+  /// re-seeded from the stored options, so later Adds remain
+  /// deterministic.
+  static Result<HnswIndex> Load(std::istream& in);
 
  private:
   struct Node {

@@ -1,6 +1,7 @@
 #include "search/lake_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <utility>
@@ -22,15 +23,9 @@ constexpr uint32_t kMagicV2 = 0x4c414b32;  // "LAK2" — versioned header
 // Version 2: backend/metric/hnsw header. Version 3 adds a storage word to
 // the header and an Sq8Codec calibration section ("CSQ8") before the table
 // records. Version 4 adds a churn section (base table count + tombstone
-// list) between the header and the table records, and is written only for
-// lakes with pending deltas or tombstones. Float32 unchurned indexes still
-// write version 2 — byte-identical to what older readers expect — and
-// unchurned sq8 keeps writing version 3, so only files a pre-churn reader
-// genuinely cannot represent demand version 4 (and old readers reject
-// those with a clean "newer format version" Status rather than misparsing).
+// list) between the header and the table records. Save always writes
+// version 4; Load reads every version.
 constexpr uint32_t kFormatVersion = 4;
-constexpr uint32_t kSq8FormatVersion = 3;
-constexpr uint32_t kFloat32FormatVersion = 2;
 
 // Reads `len` bytes into `out` in bounded chunks, so a corrupt length
 // fails at end of file instead of allocating `len` bytes up front.
@@ -58,6 +53,28 @@ IndexOptions DeltaOptions(const IndexOptions& base, Metric metric) {
 }
 
 }  // namespace
+
+Status CheckVectors(const std::vector<std::vector<float>>& columns,
+                    size_t dim) {
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const std::vector<float>& column = columns[c];
+    if (column.size() != dim) {
+      return Status::InvalidArgument(
+          "column " + std::to_string(c) + " has dim " +
+          std::to_string(column.size()) + ", index dim is " +
+          std::to_string(dim));
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      const float x = column[i];
+      if (std::isfinite(x)) continue;
+      const char* what = std::isnan(x) ? "nan" : x > 0 ? "+inf" : "-inf";
+      return Status::InvalidArgument("column " + std::to_string(c) +
+                                     " component " + std::to_string(i) +
+                                     " is " + what);
+    }
+  }
+  return Status::OK();
+}
 
 LakeIndex::LakeIndex(size_t dim, const IndexOptions& options)
     : dim_(dim), index_(dim, options) {}
@@ -256,24 +273,17 @@ Status LakeIndex::Save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
   const IndexOptions& opt = index_.options();
-  const bool sq8 = opt.storage == Storage::kSq8;
-  const bool churned = ChurnedLocked();
-  const uint32_t version = churned ? kFormatVersion
-                          : sq8    ? kSq8FormatVersion
-                                   : kFloat32FormatVersion;
   WritePod(out, kMagicV2);
-  WritePod(out, version);
+  WritePod(out, kFormatVersion);
   WritePod(out, static_cast<uint32_t>(opt.backend));
   WritePod(out, static_cast<uint32_t>(opt.metric));
-  // Version >= 3 headers always carry the storage word (a churned float32
-  // lake writes kFloat32 explicitly).
-  if (version >= 3) WritePod(out, static_cast<uint32_t>(opt.storage));
+  WritePod(out, static_cast<uint32_t>(opt.storage));
   WritePod(out, static_cast<uint64_t>(opt.hnsw.m));
   WritePod(out, static_cast<uint64_t>(opt.hnsw.ef_construction));
   WritePod(out, static_cast<uint64_t>(opt.hnsw.ef_search));
   WritePod(out, opt.hnsw.seed);
   WritePod(out, static_cast<uint64_t>(dim_));
-  if (sq8) {
+  if (opt.storage == Storage::kSq8) {
     // Persist the live calibration (training it now if no search has yet),
     // so Load re-arms the index to encode exactly as this one does — even
     // for rows that were added after the codec was trained. Delta rows are
@@ -282,15 +292,14 @@ Status LakeIndex::Save(const std::string& path) const {
     TSFM_CHECK(codec != nullptr);
     if (Status s = codec->Save(out); !s.ok()) return s;
   }
-  if (churned) {
-    // Churn section: how many leading table records belong to the base
-    // segment, then the tombstoned handles. Placed before the records so
-    // Load can replay base and delta adds into the right segments.
-    WritePod(out, static_cast<uint64_t>(base_tables_));
-    WritePod(out, static_cast<uint64_t>(dead_tables_));
-    for (size_t handle = 0; handle < dead_.size(); ++handle) {
-      if (dead_[handle] != 0) WritePod(out, static_cast<uint64_t>(handle));
-    }
+  // Churn section: how many leading table records belong to the base
+  // segment, then the tombstoned handles (an unchurned lake's base holds
+  // every record and the list is empty). Placed before the records so
+  // Load can replay base and delta adds into the right segments.
+  WritePod(out, static_cast<uint64_t>(base_tables_));
+  WritePod(out, static_cast<uint64_t>(dead_tables_));
+  for (size_t handle = 0; handle < dead_.size(); ++handle) {
+    if (dead_[handle] != 0) WritePod(out, static_cast<uint64_t>(handle));
   }
   WritePod(out, static_cast<uint64_t>(table_ids_.size()));
   for (size_t t = 0; t < table_ids_.size(); ++t) {
@@ -411,6 +420,10 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
         return Status::IoError("truncated lake index " + path);
       }
       cols.push_back(std::move(col));
+    }
+    if (Status s = CheckVectors(cols, dim); !s.ok()) {
+      return Status::ParseError("lake index " + path + " table \"" + id +
+                                "\": " + s.message());
     }
     index.AddTable(id, cols);
   }

@@ -119,25 +119,24 @@ class LakeIndex final : public Shard {
       LAKS_EXCLUDES(mu_);
   ShardCounts Counts() const override LAKS_EXCLUDES(mu_);
 
-  /// Persists the index: versioned header (backend, metric, HNSW knobs),
-  /// table ids, per-table embeddings. A churned lake (pending deltas or
-  /// tombstones) writes format version 4 with a churn section; unchurned
-  /// lakes keep writing version 2 (float32) / 3 (sq8) byte-identically.
+  /// Persists the index as "LAK2" version 4, the only version written:
+  /// header (backend, metric, storage, HNSW knobs), the SQ8 codec when
+  /// quantized, the churn section (base table count and tombstones, empty
+  /// for an unchurned lake), then table ids and per-table embeddings.
   Status Save(const std::string& path) const LAKS_EXCLUDES(mu_);
 
-  /// Loads an index written by Save and seals it. Files from before the
-  /// versioned header (magic "LAKE") still load and default to the flat
-  /// backend; pre-v4 readers reject churned (v4) files with a clean
-  /// "newer format version" Status rather than misparsing them. A count
-  /// in the file that the remaining bytes cannot hold is a Status, never
-  /// an allocation of that size.
+  /// Loads an index written by Save, or by an older build (LAK2 v2/v3, or
+  /// the headerless "LAKE" format, which defaults to the flat backend),
+  /// and seals it. A count in the file that the remaining bytes cannot
+  /// hold is a Status, never an allocation of that size; a table record
+  /// holding a non-finite component is a ParseError naming the file and
+  /// the table.
   static Result<LakeIndex> Load(const std::string& path);
 
   /// Handle-space size: live + tombstoned tables (handles stay dense and
   /// allocated until a compaction re-densifies them).
   size_t num_tables() const { return Counts().tables; }
-  /// True when the lake carries pending deltas or tombstones (the states a
-  /// pre-churn on-disk format cannot represent).
+  /// True when the lake carries pending deltas or tombstones.
   bool churned() const {
     const ShardCounts counts = Counts();
     return counts.pending_delta_tables + counts.pending_tombstones > 0;

@@ -39,20 +39,13 @@ Status SaveLakeManifest(const LakeManifest& manifest, const std::string& path) {
 
   std::ofstream out(path, std::ios::binary);
   if (!out) return Status::IoError("cannot open " + path + " for writing");
-  const bool sq8 = manifest.storage == Storage::kSq8;
-  // Lowest version that can represent the manifest, so unchurned lakes
-  // keep their historical bytes: 3 = churned (live-table count), 2 = sq8
-  // storage word, 1 = the original float32 shape.
-  const uint32_t version = manifest.churned ? kLakeManifestVersion
-                           : sq8            ? uint32_t{2}
-                                            : uint32_t{1};
   WritePod(out, kLakeManifestMagic);
-  WritePod(out, version);
+  WritePod(out, kLakeManifestVersion);
   WritePod(out, static_cast<uint32_t>(manifest.backend));
   WritePod(out, static_cast<uint32_t>(manifest.metric));
-  if (version >= 2) WritePod(out, static_cast<uint32_t>(manifest.storage));
+  WritePod(out, static_cast<uint32_t>(manifest.storage));
   WritePod(out, manifest.dim);
-  if (version >= 3) WritePod(out, manifest.live_tables);
+  WritePod(out, manifest.live_tables);
   WritePod(out, static_cast<uint64_t>(manifest.shard_files.size()));
   for (const std::string& name : manifest.shard_files) {
     WritePod(out, static_cast<uint64_t>(name.size()));
@@ -114,7 +107,6 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
   manifest.metric = static_cast<Metric>(metric);
   manifest.storage = static_cast<Storage>(storage);
   manifest.dim = dim;
-  manifest.churned = version >= 3;
   manifest.live_tables = live_tables;
   manifest.shard_files.resize(num_shards);
   for (auto& name : manifest.shard_files) {
@@ -146,13 +138,11 @@ Result<LakeManifest> LoadLakeManifest(const std::string& path) {
     }
     manifest.locator.emplace_back(shard, local);
   }
-  if (manifest.churned) {
-    if (manifest.live_tables > num_tables) {
-      return Status::ParseError("lake manifest " + path +
-                                " claims more live tables than tables");
-    }
-  } else {
+  if (version < 3) {
     manifest.live_tables = num_tables;  // pre-churn manifests: all live
+  } else if (manifest.live_tables > num_tables) {
+    return Status::ParseError("lake manifest " + path +
+                              " claims more live tables than tables");
   }
   return manifest;
 }

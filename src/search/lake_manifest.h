@@ -29,16 +29,12 @@ namespace tsfm::search {
 /// else is treated as a legacy single-file index by ShardedLakeIndex::Load.
 inline constexpr uint32_t kLakeManifestMagic = 0x4c414b53;
 
-/// \brief Newest manifest layout this build writes or reads.
+/// \brief The manifest layout this build writes; it reads every older one.
 ///
 /// Version 1: backend/metric/dim/shard files/locator. Version 2 adds a
 /// storage word after the metric. Version 3 adds a live-table count after
-/// the dim, and is written only for churned lakes (some shard carries
-/// pending deltas or tombstones, so the locator's handle count exceeds the
-/// live count). Unchurned float32 manifests still write version 1 and
-/// unchurned sq8 manifests version 2 (both byte-identical for old
-/// readers); pre-v3 readers reject churned manifests with a clean "newer
-/// format version" Status.
+/// the dim (the locator's handle count exceeds it while some shard carries
+/// tombstones). SaveLakeManifest always writes version 3.
 inline constexpr uint32_t kLakeManifestVersion = 3;
 
 /// Upper bound on the shard count a manifest may claim.
@@ -55,13 +51,9 @@ struct LakeManifest {
   Metric metric = Metric::kCosine;
   Storage storage = Storage::kFloat32;  ///< storage of every shard file
   uint64_t dim = 0;
-  /// Tables queries can return. Meaningful only when `churned` (version 3
-  /// manifests); otherwise equals num_tables().
+  /// Tables queries can return. LoadLakeManifest sets it to num_tables()
+  /// for the pre-v3 files that do not record it.
   uint64_t live_tables = 0;
-  /// Write-side flag, not itself persisted: true forces a version-3
-  /// manifest carrying `live_tables`. LoadLakeManifest sets it for v3
-  /// files so callers can tell the two shapes apart.
-  bool churned = false;
   std::vector<std::string> shard_files;
   std::vector<std::pair<uint32_t, uint64_t>> locator;
 

@@ -33,6 +33,17 @@ struct ShardCounts {
   size_t pending_tombstones = 0;
 };
 
+/// \brief kInvalidArgument naming the first column whose size is not
+/// `dim` or that holds a NaN or infinite component (and that component);
+/// OK otherwise.
+///
+/// Every entry point that takes vectors from outside runs this before any
+/// shard sees them: one non-finite row changes other tables' rankings
+/// (a NaN distance evicts real candidates from a top-k heap, and SQ8
+/// calibrates its range over every row).
+Status CheckVectors(const std::vector<std::vector<float>>& columns,
+                    size_t dim);
+
 /// \brief One shard of a lake.
 ///
 /// The coordinator serializes every mutation (a PrepareCompaction ..

@@ -112,6 +112,7 @@ size_t LakeCoordinator::shard_of(const std::string& table_id) const {
 Result<std::vector<ColumnHits>> LakeCoordinator::SearchColumnHitsBatchLocked(
     const std::vector<std::vector<float>>& queries, size_t m,
     ThreadPool* pool) const {
+  if (Status status = CheckVectors(queries, dim_); !status.ok()) return status;
   // The search lambda runs on pool threads, invisible to this frame's
   // shared lock; bind the guarded map to an alias under the lock and
   // capture that (see the concurrency contract in docs/architecture.md).
@@ -239,6 +240,12 @@ Status LakeCoordinator::MutationGate() const {
 Status LakeCoordinator::AddTable(
     const std::string& table_id,
     const std::vector<std::vector<float>>& columns, size_t* handle) {
+  // Before routing: no shard sees a bad table, so no SQ8 codec trains
+  // over it.
+  if (Status status = CheckVectors(columns, dim_); !status.ok()) {
+    return Status::InvalidArgument("table \"" + table_id +
+                                   "\": " + status.message());
+  }
   MutexLock writer(&writer_mu_);
   if (Status status = MutationGate(); !status.ok()) return status;
   const size_t s = shard_of(table_id);
@@ -407,9 +414,7 @@ LakeManifest LakeCoordinator::ManifestLocked(
   manifest.metric = options_.metric;
   manifest.storage = options_.storage;
   manifest.dim = dim_;
-  const ShardCounts counts = SumCounts();
-  manifest.churned = counts.pending_delta_tables + counts.pending_tombstones > 0;
-  manifest.live_tables = counts.live_tables;
+  manifest.live_tables = SumCounts().live_tables;
   for (size_t s = 0; s < shards_.size(); ++s) {
     manifest.shard_files.push_back(LakeShardFileName(basename, s));
   }

@@ -46,7 +46,7 @@ class ThreadPool;
 
 namespace tsfm::search {
 
-/// Point-in-time churn counters (the shape of the v3 STATS churn fields).
+/// Point-in-time churn counters (the shape of the STATS churn fields).
 struct LakeChurnCounters {
   uint64_t pending_delta_tables = 0;
   uint64_t pending_tombstones = 0;
@@ -69,6 +69,9 @@ struct LakeChurnCounters {
 /// Failures are per shard and name it (a remote shard's worker died, ...).
 /// Mutations are fail-stop: once any shard reports it may have lost step
 /// with the maps (Shard::Writable), every later mutation is refused.
+/// Vectors of the wrong dim or with a non-finite component, in a query or
+/// a new table, are kInvalidArgument before any shard sees them
+/// (CheckVectors).
 class LakeCoordinator {
  public:
   virtual ~LakeCoordinator();
@@ -241,9 +244,12 @@ class LakeCoordinator {
 ///
 /// Its query surface cannot fail (an in-process shard never does), so it
 /// returns plain values; mutations and Compact are safe beside queries
-/// exactly as LakeCoordinator describes. Like LakeIndex, each shard
-/// retains its raw column embeddings so Save can write self-contained
-/// shard files.
+/// exactly as LakeCoordinator describes. Input that LakeCoordinator
+/// rejects (a wrong-dim or non-finite vector) check-fails here, as
+/// LakeIndex::AddTable does on a wrong dim: validate untrusted vectors
+/// through the LakeCoordinator surface, which returns the Status. Like
+/// LakeIndex, each shard retains its raw column embeddings so Save can
+/// write self-contained shard files.
 class ShardedLakeIndex : public LakeCoordinator {
  public:
   /// Creates an empty index of `num_shards` shards (clamped to >= 1), each

@@ -47,9 +47,8 @@ Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(std::istream& in) {
     return std::unique_ptr<VectorIndex>(
         std::make_unique<KnnIndex>(std::move(loaded).value()));
   }
-  if (tag == HnswIndex::kFormatTag || tag == HnswIndex::kLegacyFormatTag) {
-    auto loaded =
-        HnswIndex::Load(in, /*legacy=*/tag == HnswIndex::kLegacyFormatTag);
+  if (tag == HnswIndex::kFormatTag) {
+    auto loaded = HnswIndex::Load(in);
     if (!loaded.ok()) return loaded.status();
     return std::unique_ptr<VectorIndex>(
         std::make_unique<HnswIndex>(std::move(loaded).value()));

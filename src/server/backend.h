@@ -33,7 +33,7 @@ namespace tsfm::server {
 /// each other by the backend itself.
 class LakeBackend {
  public:
-  /// Churn counters reported through the v3 STATS payload.
+  /// Churn counters reported through the STATS payload.
   using ChurnCounters = search::LakeChurnCounters;
 
   virtual ~LakeBackend() = default;
@@ -68,30 +68,19 @@ class LakeBackend {
   /// Identity/shape counters (the HEALTH opcode).
   virtual ShardHealth Health() const = 0;
 
-  /// Live-ingests one table (the ADD_TABLE opcode). The default backend
-  /// serves a frozen lake and answers kUnimplemented.
+  /// Live-ingests one table (the ADD_TABLE opcode).
   virtual Status AddTable(const std::string& table_id,
-                          const std::vector<std::vector<float>>& columns) {
-    (void)table_id;
-    (void)columns;
-    return Status::Unimplemented("this backend serves a frozen lake");
-  }
+                          const std::vector<std::vector<float>>& columns) = 0;
 
   /// Tombstones the newest live table with `table_id` (REMOVE_TABLE).
-  virtual Status RemoveTable(const std::string& table_id) {
-    (void)table_id;
-    return Status::Unimplemented("this backend serves a frozen lake");
-  }
+  virtual Status RemoveTable(const std::string& table_id) = 0;
 
   /// Folds deltas + tombstones into the base segments (COMPACT). May fan
   /// the per-shard rebuilds over `pool`.
-  virtual Status Compact(ThreadPool* pool) {
-    (void)pool;
-    return Status::Unimplemented("this backend serves a frozen lake");
-  }
+  virtual Status Compact(ThreadPool* pool) = 0;
 
-  /// Point-in-time churn counters (zeros for a frozen backend).
-  virtual ChurnCounters Churn() const { return {}; }
+  /// Point-in-time churn counters (the STATS churn fields).
+  virtual ChurnCounters Churn() const = 0;
 };
 
 /// \brief LakeBackend over an owned lake coordinator.

@@ -98,12 +98,8 @@ uint32_t SaturateK(size_t k) {
       std::min<size_t>(k, std::numeric_limits<uint32_t>::max()));
 }
 
-// Stamp each request with the lowest protocol version that carries its
-// opcode, so this client keeps working against version-1 servers for the
-// version-1 opcodes.
 Request MakeRequest(Opcode op) {
   Request request;
-  request.version = RequiredVersion(op);
   request.op = op;
   return request;
 }
@@ -137,11 +133,7 @@ Result<std::vector<std::string>> LakeClient::QueryUnionable(
 }
 
 Result<ServerStats> LakeClient::Stats() {
-  Request request = MakeRequest(Opcode::kStats);
-  // The stats payload shape follows the request version: stamp the newest
-  // version so the response carries the v3 churn counters too.
-  request.version = kProtocolVersion;
-  Result<Response> response = RoundTrip(request);
+  Result<Response> response = RoundTrip(MakeRequest(Opcode::kStats));
   if (!response.ok()) return response.status();
   return std::move(response).value().stats;
 }

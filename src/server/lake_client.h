@@ -45,25 +45,20 @@ class LakeClient {
   Result<std::vector<std::string>> QueryUnionable(
       const std::vector<std::vector<float>>& columns, size_t k);
 
-  /// \brief Server-side batching/latency counters plus churn counters.
-  ///
-  /// The request is stamped protocol version 3 so the response carries the
-  /// churn counters (the stats payload shape follows the request version).
-  /// Pre-v3 servers reject the stamp with a clean version error — query a
-  /// frozen deployment's stats with an older client build.
+  /// Server-side batching/latency counters plus churn counters.
   Result<ServerStats> Stats();
 
   /// Live-ingests one table (ADD_TABLE). All columns must share one
-  /// dimension. Requires a protocol-version-3 server.
+  /// dimension.
   Status AddTable(const std::string& table_id,
                   const std::vector<std::vector<float>>& columns);
 
   /// Tombstones the newest live table named `table_id` (REMOVE_TABLE);
-  /// kNotFound when no live table has that id. Requires a v3 server.
+  /// kNotFound when no live table has that id.
   Status RemoveTable(const std::string& table_id);
 
   /// Folds deltas + tombstones into the base segments (COMPACT). Blocks
-  /// until the server's compaction finishes. Requires a v3 server.
+  /// until the server's compaction finishes.
   Status Compact();
 
   /// \brief Raw top-`m` column hits per query column (SHARD_QUERY).
@@ -71,15 +66,14 @@ class LakeClient {
   /// The scatter half of a distributed query: hits come back in the
   /// server's own table-handle space, sorted by (distance, table, column),
   /// one list per query column, for the coordinator to remap and k-way
-  /// merge. Requires a protocol-version-2 server.
+  /// merge.
   Result<std::vector<std::vector<ShardHit>>> ShardQuery(
       const std::vector<std::vector<float>>& columns, size_t m);
 
-  /// The server's identity/shape counters (HEALTH). Requires a v2 server.
+  /// The server's identity/shape counters (HEALTH).
   Result<ShardHealth> Health();
 
   /// The server's table ids in its local handle order (SHARD_TABLES).
-  /// Requires a v2 server.
   Result<std::vector<std::string>> ShardTables();
 
   /// \brief Bounds how long each socket operation of a round trip may block.

@@ -14,6 +14,7 @@
 #include <thread>
 #include <utility>
 
+#include "search/shard.h"
 #include "server/net_util.h"
 #include "util/thread_pool.h"
 
@@ -253,11 +254,7 @@ void LakeServer::HandleConnection(int fd) {
 
 Response LakeServer::HandleRequest(Request&& request) {
   const Opcode op = request.op;
-  // Echo the version the request arrived with: a version-1 client must get
-  // version-1 responses it can decode, and Error() below already stamps
-  // the lowest version that carries the opcode.
   Response response;
-  response.version = request.version;
   response.op = op;
   if (op == Opcode::kStats) {
     response.stats = stats();
@@ -295,14 +292,11 @@ Response LakeServer::HandleRequest(Request&& request) {
                 "join query must carry exactly one column, got " +
                 std::to_string(request.columns.size())));
   }
-  for (const auto& column : request.columns) {
-    if (column.size() != backend_->dim()) {
-      return Response::Error(
-          op, Status::InvalidArgument("query dim " +
-                                      std::to_string(column.size()) +
-                                      " does not match index dim " +
-                                      std::to_string(backend_->dim())));
-    }
+  // Before the batcher: a bad request must not fail the batch it would
+  // have been coalesced into.
+  if (Status s = search::CheckVectors(request.columns, backend_->dim());
+      !s.ok()) {
+    return Response::Error(op, s);
   }
   if (op == Opcode::kAddTable) {
     if (Status s = backend_->AddTable(request.table_id, request.columns);

@@ -50,23 +50,15 @@ bool CarriesTableId(Opcode op) {
   return op == Opcode::kAddTable || op == Opcode::kRemoveTable;
 }
 
-// Shared header validation: the version byte must be one this build
-// decodes, and a newer opcode must not be smuggled into an older frame — an
-// old-version-only peer would misparse it, so that combination never
-// appears on a healthy wire.
-Status CheckVersionedOpcode(uint8_t version, uint8_t raw_op) {
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+// Shared header validation: the version byte must be the one this build
+// speaks, and the opcode one it knows.
+Status CheckHeader(uint8_t version, uint8_t raw_op) {
+  if (version != kProtocolVersion) {
     return Status::ParseError("unsupported protocol version " +
                               std::to_string(version));
   }
   if (!IsValidOpcode(raw_op)) {
     return Status::ParseError("unknown opcode " + std::to_string(raw_op));
-  }
-  const uint8_t required = RequiredVersion(static_cast<Opcode>(raw_op));
-  if (version < required) {
-    return Status::ParseError(
-        "opcode " + std::to_string(raw_op) + " requires protocol version " +
-        std::to_string(required) + ", got " + std::to_string(version));
   }
   return Status::OK();
 }
@@ -78,27 +70,8 @@ bool IsValidOpcode(uint8_t raw) {
          raw <= static_cast<uint8_t>(Opcode::kCompact);
 }
 
-uint8_t RequiredVersion(Opcode op) {
-  switch (op) {
-    case Opcode::kJoin:
-    case Opcode::kUnion:
-    case Opcode::kStats:
-      return 1;
-    case Opcode::kShardQuery:
-    case Opcode::kHealth:
-    case Opcode::kShardTables:
-      return 2;
-    case Opcode::kAddTable:
-    case Opcode::kRemoveTable:
-    case Opcode::kCompact:
-      return 3;
-  }
-  return kProtocolVersion;
-}
-
 Response Response::Error(Opcode op, const Status& status) {
   Response response;
-  response.version = RequiredVersion(op);
   response.op = op;
   response.status = status.code();
   response.message = status.message();
@@ -106,7 +79,7 @@ Response Response::Error(Opcode op, const Status& status) {
 }
 
 void EncodeRequest(const Request& request, std::ostream& out) {
-  WritePod(out, request.version);
+  WritePod(out, kProtocolVersion);
   WritePod(out, static_cast<uint8_t>(request.op));
   if (IsHeaderOnly(request.op)) return;
   if (CarriesTableId(request.op)) {
@@ -148,8 +121,7 @@ Status DecodeRequest(std::istream& in, Request* request) {
   if (!ReadPod(in, &version) || !ReadPod(in, &raw_op)) {
     return Truncated("request header");
   }
-  if (Status s = CheckVersionedOpcode(version, raw_op); !s.ok()) return s;
-  request->version = version;
+  if (Status s = CheckHeader(version, raw_op); !s.ok()) return s;
   request->op = static_cast<Opcode>(raw_op);
   request->k = 0;
   request->table_id.clear();
@@ -205,7 +177,7 @@ Status DecodeRequest(std::istream& in, Request* request) {
 }
 
 void EncodeResponse(const Response& response, std::ostream& out) {
-  WritePod(out, response.version);
+  WritePod(out, kProtocolVersion);
   WritePod(out, static_cast<uint8_t>(response.op));
   WritePod(out, static_cast<uint8_t>(response.status));
   if (response.status != StatusCode::kOk) {
@@ -220,14 +192,9 @@ void EncodeResponse(const Response& response, std::ostream& out) {
     WritePod(out, response.stats.max_batch);
     WritePod(out, response.stats.total_queue_wait_ms);
     WritePod(out, response.stats.total_latency_ms);
-    // Churn counters ride only in v3-stamped stats responses; the server
-    // echoes the request's version, so a v1/v2 peer keeps receiving the
-    // exact five-field payload it always parsed.
-    if (response.version >= 3) {
-      WritePod(out, response.stats.pending_delta_tables);
-      WritePod(out, response.stats.pending_tombstones);
-      WritePod(out, response.stats.compactions);
-    }
+    WritePod(out, response.stats.pending_delta_tables);
+    WritePod(out, response.stats.pending_tombstones);
+    WritePod(out, response.stats.compactions);
     return;
   }
   if (response.op == Opcode::kHealth) {
@@ -264,12 +231,11 @@ Status DecodeResponse(std::istream& in, Response* response) {
       !ReadPod(in, &raw_status)) {
     return Truncated("response header");
   }
-  if (Status s = CheckVersionedOpcode(version, raw_op); !s.ok()) return s;
+  if (Status s = CheckHeader(version, raw_op); !s.ok()) return s;
   if (raw_status > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
     return Status::ParseError("unknown status code " +
                               std::to_string(raw_status));
   }
-  response->version = version;
   response->op = static_cast<Opcode>(raw_op);
   response->status = static_cast<StatusCode>(raw_status);
   response->message.clear();
@@ -293,14 +259,11 @@ Status DecodeResponse(std::istream& in, Response* response) {
         !ReadPod(in, &response->stats.batches) ||
         !ReadPod(in, &response->stats.max_batch) ||
         !ReadPod(in, &response->stats.total_queue_wait_ms) ||
-        !ReadPod(in, &response->stats.total_latency_ms)) {
+        !ReadPod(in, &response->stats.total_latency_ms) ||
+        !ReadPod(in, &response->stats.pending_delta_tables) ||
+        !ReadPod(in, &response->stats.pending_tombstones) ||
+        !ReadPod(in, &response->stats.compactions)) {
       return Truncated("stats payload");
-    }
-    if (version >= 3 &&
-        (!ReadPod(in, &response->stats.pending_delta_tables) ||
-         !ReadPod(in, &response->stats.pending_tombstones) ||
-         !ReadPod(in, &response->stats.compactions))) {
-      return Truncated("stats churn counters");
     }
     return RequireFullyConsumed(in);
   }

@@ -3,8 +3,8 @@
 // Everything on the socket is a length-prefixed frame: a uint32 payload
 // byte count followed by the payload, little-endian host layout via
 // stream_io.h like the rest of the on-disk formats. Payloads start with a
-// protocol version byte so the format can evolve without breaking old
-// clients, then an opcode. See src/server/README.md for the full layout.
+// protocol version byte, then an opcode. See src/server/README.md for the
+// full layout.
 //
 // The codec is split from the socket layer on purpose: Encode*/Decode*
 // work on std::iostreams so they can be property-tested without a socket,
@@ -23,23 +23,15 @@
 
 namespace tsfm::server {
 
-/// \brief Newest protocol version this build understands.
+/// \brief The one protocol version this build speaks.
 ///
-/// Version 1 defined JOIN/UNION/STATS; version 2 added the per-shard
-/// opcodes (SHARD_QUERY/HEALTH/SHARD_TABLES) for the distributed tier and
-/// changed nothing about the version-1 payloads. Version 3 added the
-/// mutation opcodes (ADD_TABLE/REMOVE_TABLE/COMPACT) and three churn
-/// counters to the kStats payload (carried only in v3-stamped stats
-/// responses, so v1/v2 stats traffic is unchanged). Every message is
-/// encoded with the *lowest* version that can express it (RequiredVersion
-/// below), so a v3 client interoperates with a v1 server for the v1
-/// opcodes, and decoders reject only frames they genuinely cannot parse: a
-/// version outside [kMinProtocolVersion, kProtocolVersion], or an opcode
-/// claimed inside a frame older than its RequiredVersion.
+/// Every encoder stamps it and both decoders reject any other version byte
+/// with kParseError. Version 1 defined JOIN/UNION/STATS, version 2 added
+/// the shard opcodes and version 3 the mutation opcodes plus the STATS
+/// churn counters; the v3 payloads are unchanged from the builds that
+/// still spoke the older versions, so peers from those builds interoperate
+/// whenever they send v3 frames.
 inline constexpr uint8_t kProtocolVersion = 3;
-
-/// Oldest version still decoded (version-1 traffic stays valid).
-inline constexpr uint8_t kMinProtocolVersion = 1;
 
 /// Default ceiling on one frame's payload. A length prefix above the
 /// negotiated ceiling is answered with a Status error, not an allocation.
@@ -65,12 +57,6 @@ enum class Opcode : uint8_t {
 /// True for the opcodes this version understands.
 bool IsValidOpcode(uint8_t raw);
 
-/// The lowest protocol version that can carry `op` (1 for the original
-/// opcodes, 2 for the shard opcodes, 3 for the mutation opcodes). Encoders
-/// stamp messages with this so old peers keep understanding new binaries'
-/// v1 traffic.
-uint8_t RequiredVersion(Opcode op);
-
 /// \brief One client request.
 ///
 /// kJoin carries exactly one column; kUnion and kShardQuery any number
@@ -81,7 +67,6 @@ uint8_t RequiredVersion(Opcode op);
 /// kAddTable carries `table_id` plus the new table's columns (no k);
 /// kRemoveTable carries only `table_id`.
 struct Request {
-  uint8_t version = kProtocolVersion;
   Opcode op = Opcode::kJoin;
   uint32_t k = 0;
   std::string table_id;  ///< kAddTable / kRemoveTable target
@@ -120,19 +105,17 @@ struct ShardHealth {
   bool operator==(const ShardHealth&) const = default;
 };
 
-/// Server-side counters returned by the kStats opcode. The churn counters
-/// travel only in v3-stamped stats responses (RequiredVersion keeps kStats
-/// itself at version 1, so old peers still get the original five fields);
-/// a v3 client requests the v3 shape by stamping its stats request v3.
+/// Server-side counters returned by the kStats opcode (all eight fields
+/// travel in every stats response).
 struct ServerStats {
   uint64_t requests = 0;          ///< query requests answered (join/union/shard)
   uint64_t batches = 0;           ///< coalesced batch dispatches
   uint64_t max_batch = 0;         ///< largest batch coalesced so far
   double total_queue_wait_ms = 0; ///< sum of enqueue->dispatch waits
   double total_latency_ms = 0;    ///< sum of frame-read->response latencies
-  uint64_t pending_delta_tables = 0;  ///< v3: delta tables awaiting compaction
-  uint64_t pending_tombstones = 0;    ///< v3: tombstoned-but-uncompacted tables
-  uint64_t compactions = 0;           ///< v3: completed compaction passes
+  uint64_t pending_delta_tables = 0;  ///< delta tables awaiting compaction
+  uint64_t pending_tombstones = 0;    ///< tombstoned-but-uncompacted tables
+  uint64_t compactions = 0;           ///< completed compaction passes
 
   bool operator==(const ServerStats&) const = default;
 };
@@ -144,7 +127,6 @@ struct ServerStats {
 /// it stays the default kJoin — and selects which payload field is
 /// meaningful. A non-OK `status` carries `message` and no payload.
 struct Response {
-  uint8_t version = kProtocolVersion;
   Opcode op = Opcode::kJoin;
   StatusCode status = StatusCode::kOk;
   std::string message;           ///< non-empty iff status != kOk
@@ -155,8 +137,7 @@ struct Response {
 
   bool operator==(const Response&) const = default;
 
-  /// Shorthand for an error response echoing `op`, stamped with the lowest
-  /// version that carries `op` so peers of either version can decode it.
+  /// Shorthand for an error response echoing `op`.
   static Response Error(Opcode op, const Status& status);
 };
 
@@ -168,10 +149,11 @@ void EncodeRequest(const Request& request, std::ostream& out);
 
 /// \brief Parses a request payload.
 ///
-/// Returns kParseError for a wrong version byte, unknown opcode, column
-/// counts or dims large enough to be hostile, a stream that ends early, or
-/// one that does not end exactly at the message end (a frame carries one
-/// message; trailing bytes mean a desynced or hostile peer).
+/// Returns kParseError for a version byte other than kProtocolVersion, an
+/// unknown opcode, column counts or dims large enough to be hostile, a
+/// stream that ends early, or one that does not end exactly at the message
+/// end (a frame carries one message; trailing bytes mean a desynced or
+/// hostile peer).
 Status DecodeRequest(std::istream& in, Request* request);
 
 /// Serializes a response payload (without the frame length prefix).

@@ -63,6 +63,15 @@ class StubBackend final : public LakeBackend {
     return std::vector<std::string>{};
   }
   ShardHealth Health() const override { return {}; }
+  Status AddTable(const std::string&,
+                  const std::vector<std::vector<float>>&) override {
+    return Status::Unimplemented("stub");
+  }
+  Status RemoveTable(const std::string&) override {
+    return Status::Unimplemented("stub");
+  }
+  Status Compact(ThreadPool*) override { return Status::Unimplemented("stub"); }
+  ChurnCounters Churn() const override { return {}; }
 
   /// Calls with this k block inside the backend until ReleaseGated().
   void GateOn(size_t k) {

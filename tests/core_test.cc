@@ -45,8 +45,8 @@ text::Vocab MakeToyVocab() {
 // ----------------------------------------------------------- InputEncoder
 
 TEST(InputEncoderTest, SingleTableLayout) {
-  TabSketchFMConfig config = TinyConfig(100);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
 
@@ -79,9 +79,22 @@ TEST(InputEncoderTest, SingleTableLayout) {
   for (int s : enc.segment) EXPECT_EQ(s, 0);
 }
 
-TEST(InputEncoderTest, DescriptionTokensCarrySnapshot) {
-  TabSketchFMConfig config = TinyConfig(100);
+TEST(InputEncoderDeathTest, VocabularyLargerThanTheModelAborts) {
+  // A vocabulary the embedding table cannot hold fails when the encoder is
+  // built, naming both sizes, not at the first out-of-range token id.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size() - 1);
+  text::Tokenizer tokenizer(&vocab);
+  const std::string sizes = "\\(" + std::to_string(vocab.size()) + " vs " +
+                            std::to_string(vocab.size() - 1) + "\\)";
+  EXPECT_DEATH({ InputEncoder encoder(&config, &tokenizer); },
+               "Check failed.*" + sizes);
+}
+
+TEST(InputEncoderTest, DescriptionTokensCarrySnapshot) {
+  text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -100,8 +113,8 @@ TEST(InputEncoderTest, DescriptionTokensCarrySnapshot) {
 }
 
 TEST(InputEncoderTest, PairEncodingSegments) {
-  TabSketchFMConfig config = TinyConfig(100);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -132,9 +145,9 @@ TEST(InputEncoderTest, PairEncodingSegments) {
 }
 
 TEST(InputEncoderTest, TruncatesWideTables) {
-  TabSketchFMConfig config = TinyConfig(100);
-  config.max_seq_len = 16;
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
+  config.max_seq_len = 16;
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
 
@@ -150,8 +163,8 @@ TEST(InputEncoderTest, TruncatesWideTables) {
 }
 
 TEST(InputEncoderTest, AblationZeroesTracks) {
-  TabSketchFMConfig config = TinyConfig(100);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -184,8 +197,8 @@ TEST(InputEncoderTest, AblationZeroesTracks) {
 // -------------------------------------------------------------------- MLM
 
 TEST(MlmTest, WholeColumnMasking) {
-  TabSketchFMConfig config = TinyConfig(100);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -209,8 +222,8 @@ TEST(MlmTest, WholeColumnMasking) {
 }
 
 TEST(MlmTest, SmallTableMasksEveryColumn) {
-  TabSketchFMConfig config = TinyConfig(100);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -223,9 +236,9 @@ TEST(MlmTest, SmallTableMasksEveryColumn) {
 }
 
 TEST(MlmTest, LargeTableCapsExamples) {
-  TabSketchFMConfig config = TinyConfig(100);
-  config.max_seq_len = 96;
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
+  config.max_seq_len = 96;
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   Table wide("wide", "many");
@@ -243,9 +256,9 @@ TEST(MlmTest, LargeTableCapsExamples) {
 
 TEST(ModelTest, EncodeShapes) {
   Rng rng(4);
-  TabSketchFMConfig config = TinyConfig(64);
-  TabSketchFM model(config, &rng);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
+  TabSketchFM model(config, &rng);
   text::Tokenizer tokenizer(&vocab);
   InputEncoder encoder(&config, &tokenizer);
   SketchOptions opt;
@@ -355,9 +368,9 @@ TEST(FinetuneTest, CrossEncoderOverfitsTinyBinaryTask) {
 
 TEST(EmbedderTest, ShapesAndDeterminism) {
   Rng rng(10);
-  TabSketchFMConfig config = TinyConfig(64);
-  TabSketchFM model(config, &rng);
   text::Vocab vocab = MakeToyVocab();
+  TabSketchFMConfig config = TinyConfig(vocab.size());
+  TabSketchFM model(config, &rng);
   text::Tokenizer tokenizer(&vocab);
   InputEncoder input_encoder(&config, &tokenizer);
   Embedder embedder(&model, &input_encoder);

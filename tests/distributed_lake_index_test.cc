@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -312,6 +313,40 @@ TEST(DistributedServerTest, PublicServerOverCoordinatorMatchesInProcess) {
 
 // ------------------------------------------------------------ fault paths
 
+TEST(DistributedFaultTest, NonFiniteTableIsRejectedBeforeAnyWorkerSeesIt) {
+  Corpus corpus = MakeCorpus(30, 81);
+  ShardedLakeIndex reference = BuildIndex(corpus, 2);
+  WorkerFleet fleet;
+  fleet.Start(reference);
+  auto coordinator =
+      DistributedLakeIndex::Connect(fleet.manifest_path(), fleet.sockets());
+  ASSERT_TRUE(coordinator.ok()) << coordinator.status().ToString();
+  DistributedLakeIndex& dist = coordinator.value();
+
+  Rng rng(82);
+  std::vector<float> bad = RandomVec(kDim, &rng);
+  bad[2] = std::numeric_limits<float>::quiet_NaN();
+  Status rejected = dist.AddTable("poisoned", {RandomVec(kDim, &rng), bad});
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument)
+      << rejected.ToString();
+  EXPECT_NE(rejected.message().find("poisoned"), std::string::npos)
+      << rejected.ToString();
+  // A bad query gets the answer the in-process coordinator gives.
+  EXPECT_EQ(dist.QueryJoinable(bad, 5).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // Nothing reached a worker, so mutations are not fail-stopped: the next
+  // valid one lands and ranks like the in-process twin's.
+  const std::vector<float> fresh = RandomVec(kDim, &rng);
+  ASSERT_TRUE(dist.AddTable("fresh", {fresh}).ok());
+  reference.Seal();
+  reference.AddTable("fresh", {fresh});
+  EXPECT_EQ(dist.num_tables(), reference.num_tables());
+  auto got = dist.QueryJoinable(fresh, 5);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), reference.QueryJoinable(fresh, 5));
+}
+
 TEST(DistributedFaultTest, KilledWorkerYieldsStatusNamingTheShardNotAHang) {
   Corpus corpus = MakeCorpus(45, 123);
   ShardedLakeIndex reference = BuildIndex(corpus, 3);
@@ -494,7 +529,6 @@ TEST(DistributedFaultTest, MixedVersionHandshakeIsRejectedNamingTheShard) {
   // The fake worker decodes fine but claims a future protocol version in
   // its HEALTH payload — the coordinator must refuse to serve over it.
   FakeWorker fake([&](const Request& request, Response* response) {
-    response->version = RequiredVersion(request.op);
     response->op = request.op;
     response->health.protocol_version = kProtocolVersion + 1;
     response->health.backend = 0;

@@ -236,31 +236,6 @@ TEST(HnswTest, L2NeighboursAgreeWithFlatScan) {
   EXPECT_GE(recall_sum / queries, 0.9);
 }
 
-TEST(HnswTest, LegacyPreMetricStreamLoadsAsCosine) {
-  // Streams written before the metric field carry the old "HNSW" tag and no
-  // metric u32; they must load as cosine with identical answers. Synthesize
-  // one by re-tagging a current stream and dropping the metric field.
-  Rng rng(12);
-  const size_t dim = 8;
-  HnswIndex index(dim);
-  for (size_t i = 0; i < 80; ++i) index.Add(i, RandomUnit(dim, &rng));
-  std::stringstream stream;
-  ASSERT_TRUE(index.Save(stream).ok());
-  std::string bytes = stream.str();
-  const uint32_t legacy_tag = HnswIndex::kLegacyFormatTag;
-  std::string legacy_bytes(reinterpret_cast<const char*>(&legacy_tag),
-                           sizeof(legacy_tag));
-  legacy_bytes += bytes.substr(sizeof(uint32_t) + sizeof(uint32_t));
-
-  std::stringstream legacy(legacy_bytes);
-  auto loaded = LoadVectorIndex(legacy);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value()->backend(), IndexBackend::kHnsw);
-  EXPECT_EQ(loaded.value()->metric(), Metric::kCosine);
-  auto query = RandomUnit(dim, &rng);
-  EXPECT_EQ(loaded.value()->Search(query, 5), index.Search(query, 5));
-}
-
 TEST(HnswTest, SaveLoadPreservesL2Metric) {
   Rng rng(11);
   HnswIndex index(6, HnswOptions{}, Metric::kL2);

@@ -11,7 +11,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -422,6 +424,36 @@ TEST_F(LakeServerTest, WrongDimQueryGetsInvalidArgumentAndClientSurvives) {
   auto good = client.QueryJoinable(corpus_.join_queries[0], 5);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value(), reference_->QueryJoinable(corpus_.join_queries[0], 5));
+}
+
+TEST_F(LakeServerTest, NonFiniteVectorsGetInvalidArgumentAndClientSurvives) {
+  StartServer();
+  LakeClient client;
+  ASSERT_TRUE(client.Connect(socket_path_).ok());
+  const std::vector<float>& good = corpus_.join_queries[0];
+  for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                       std::numeric_limits<float>::infinity()}) {
+    std::vector<float> bad = good;
+    bad[kDim / 2] = poison;
+    const std::string what = std::isnan(poison) ? "nan" : "+inf";
+    auto expect_rejected = [&](const Status& status, const char* op) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << op << " " << what << ": " << status.ToString();
+      EXPECT_NE(status.message().find(what), std::string::npos)
+          << status.ToString();
+    };
+    expect_rejected(client.AddTable("poisoned", {good, bad}), "ADD_TABLE");
+    expect_rejected(client.QueryJoinable(bad, 5).status(), "JOIN");
+    expect_rejected(client.QueryUnionable({good, bad}, 5).status(), "UNION");
+    expect_rejected(client.ShardQuery({good, bad}, 5).status(), "SHARD_QUERY");
+  }
+  // Errors don't burn the connection, and the rejected table never landed.
+  auto tables = client.ShardTables();
+  ASSERT_TRUE(tables.ok()) << tables.status().ToString();
+  EXPECT_EQ(tables.value().size(), corpus_.tables.size());
+  auto got = client.QueryJoinable(good, 5);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), reference_->QueryJoinable(good, 5));
 }
 
 TEST_F(LakeServerTest, JoinWithWrongColumnCountGetsInvalidArgument) {

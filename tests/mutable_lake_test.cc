@@ -1,8 +1,8 @@
 // Mutable lakes (ROADMAP "Mutable lakes"): live AddTable/RemoveTable
 // churn against sealed LakeIndex/ShardedLakeIndex, the delta/tombstone/
 // compaction lifecycle, churn-parity with a from-scratch rebuild, the
-// LAK2 v4 / LAKS v3 persistence gates, snapshot-consistent queries during
-// compaction, and the serving stack's v3 mutation opcodes end to end
+// LAK2 v4 / LAKS v3 persistence, snapshot-consistent queries during
+// compaction, and the serving stack's mutation opcodes end to end
 // (in-process server, auto-compaction, and the distributed coordinator).
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -137,7 +137,7 @@ Corpus Survivors(const Corpus& corpus, const ChurnScript& script) {
 
 // ------------------------------------------------------- LakeIndex churn
 
-TEST(MutableLakeTest, UnchurnedSavesKeepHistoricalFormatVersions) {
+TEST(MutableLakeTest, UnchurnedSavesWriteV4AndSealingMovesNoBytes) {
   const size_t dim = 8;
   Corpus corpus = MakeCorpus(20, dim, 21);
   {
@@ -148,7 +148,7 @@ TEST(MutableLakeTest, UnchurnedSavesKeepHistoricalFormatVersions) {
     sealed.Seal();
     ASSERT_TRUE(unsealed.Save(file.path()).ok());
     ASSERT_TRUE(sealed.Save(sealed_file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 2u);
+    EXPECT_EQ(FileVersion(file.path()), 4u);
     // Sealing alone is not churn: the bytes must not move.
     EXPECT_EQ(ReadAll(file.path()), ReadAll(sealed_file.path()));
   }
@@ -158,7 +158,7 @@ TEST(MutableLakeTest, UnchurnedSavesKeepHistoricalFormatVersions) {
     sq8.storage = Storage::kSq8;
     LakeIndex index = BuildLake(corpus, dim, sq8);
     ASSERT_TRUE(index.Save(file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 3u);
+    EXPECT_EQ(FileVersion(file.path()), 4u);
   }
 }
 
@@ -422,12 +422,11 @@ TEST(MutableLakeTest, ShardedChurnedManifestWritesV3AndRoundTrips) {
   Corpus corpus = MakeCorpus(30, dim, 38);
   ChurnScript script = MakeChurnScript(dim, 39);
   {
-    // Unchurned float32 stays at manifest version 1 — pre-v3 readers keep
-    // loading frozen lakes they always could.
+    // An unchurned lake writes the same manifest version as a churned one.
     TempFile file("mutable_unchurned.laks");
     ShardedLakeIndex frozen = BuildShardedLake(corpus, dim, 3);
     ASSERT_TRUE(frozen.Save(file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 1u);
+    EXPECT_EQ(FileVersion(file.path()), 3u);
   }
   TempFile file("mutable_churned.laks");
   ShardedLakeIndex index = BuildShardedLake(corpus, dim, 3);

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <tuple>
@@ -414,6 +415,17 @@ TEST(CheckpointFailureTest, GarbageMagicRejected) {
 // encoding may decode successfully — a truncated payload is a parse error,
 // never a crash or a silently misparsed message.
 
+// Mostly normal draws with the odd +-inf: the codec carries non-finite
+// floats unchanged (rejecting them is the server's request check, not the
+// codec's). A NaN would travel too, but never compares equal.
+float RandomComponent(Rng* rng) {
+  if (rng->Bernoulli(0.05)) {
+    const float inf = std::numeric_limits<float>::infinity();
+    return rng->Bernoulli(0.5) ? inf : -inf;
+  }
+  return static_cast<float>(rng->Normal());
+}
+
 server::Request RandomRequest(Rng* rng) {
   server::Request request;
   switch (rng->UniformInt(0, 8)) {
@@ -427,9 +439,6 @@ server::Request RandomRequest(Rng* rng) {
     case 7: request.op = server::Opcode::kRemoveTable; break;
     default: request.op = server::Opcode::kCompact; break;
   }
-  // Messages travel at the lowest version that can carry them (what
-  // LakeClient sends); round trips must preserve that.
-  request.version = server::RequiredVersion(request.op);
   if (request.op == server::Opcode::kStats ||
       request.op == server::Opcode::kHealth ||
       request.op == server::Opcode::kShardTables ||
@@ -448,7 +457,7 @@ server::Request RandomRequest(Rng* rng) {
       size_t dim = static_cast<size_t>(rng->UniformInt(0, 8));
       for (auto& column : request.columns) {
         column.resize(dim);
-        for (auto& x : column) x = static_cast<float>(rng->Normal());
+        for (auto& x : column) x = RandomComponent(rng);
       }
     }
     return request;
@@ -461,7 +470,7 @@ server::Request RandomRequest(Rng* rng) {
   request.columns.resize(num_columns);
   for (auto& column : request.columns) {
     column.resize(dim);
-    for (auto& x : column) x = static_cast<float>(rng->Normal());
+    for (auto& x : column) x = RandomComponent(rng);
   }
   return request;
 }
@@ -479,7 +488,6 @@ server::Response RandomResponse(Rng* rng) {
     case 7: response.op = server::Opcode::kRemoveTable; break;
     default: response.op = server::Opcode::kCompact; break;
   }
-  response.version = server::RequiredVersion(response.op);
   if (rng->UniformInt(0, 3) == 0) {
     response.status = StatusCode::kInvalidArgument;
     response.message = "injected failure #" + std::to_string(rng->UniformInt(0, 99));
@@ -491,16 +499,11 @@ server::Response RandomResponse(Rng* rng) {
     response.stats.max_batch = static_cast<uint64_t>(rng->UniformInt(0, 64));
     response.stats.total_queue_wait_ms = rng->UniformDouble(0, 10);
     response.stats.total_latency_ms = rng->UniformDouble(0, 10);
-    // Half the time, upgrade to a v3 stats frame carrying churn counters —
-    // the shape a v3 client's Stats() call elicits.
-    if (rng->Bernoulli(0.5)) {
-      response.version = server::kProtocolVersion;
-      response.stats.pending_delta_tables =
-          static_cast<uint64_t>(rng->UniformInt(0, 50));
-      response.stats.pending_tombstones =
-          static_cast<uint64_t>(rng->UniformInt(0, 50));
-      response.stats.compactions = static_cast<uint64_t>(rng->UniformInt(0, 9));
-    }
+    response.stats.pending_delta_tables =
+        static_cast<uint64_t>(rng->UniformInt(0, 50));
+    response.stats.pending_tombstones =
+        static_cast<uint64_t>(rng->UniformInt(0, 50));
+    response.stats.compactions = static_cast<uint64_t>(rng->UniformInt(0, 9));
     return response;
   }
   if (response.op == server::Opcode::kAddTable ||
@@ -625,104 +628,10 @@ TEST(ProtocolRoundTripTest, ExplicitEdgeCases) {
   EXPECT_EQ(status.code(), StatusCode::kParseError);
 }
 
-// ------------------------------------- protocol version compatibility rules
+// ------------------------------------------------- protocol version rules
 //
-// The compatibility contract (src/server/README.md): v1 opcodes travel in
-// v1 frames and decode under every supported version; v2 (shard) opcodes
-// require v2 frames and v3 (mutation) opcodes v3 frames; versions outside
-// [min, current] are rejected; and a newer opcode smuggled into an older
-// frame is a parse error, because an old-version-only peer would misparse
-// it.
-
-TEST(ProtocolVersionTest, EncodersStampTheLowestVersionThatCarriesTheOpcode) {
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kJoin), 1);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kUnion), 1);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kStats), 1);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kShardQuery), 2);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kHealth), 2);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kShardTables), 2);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kAddTable), 3);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kRemoveTable), 3);
-  EXPECT_EQ(server::RequiredVersion(server::Opcode::kCompact), 3);
-}
-
-TEST(ProtocolVersionTest, V1OpcodesDecodeUnderAllSupportedVersions) {
-  for (uint8_t version : {uint8_t{1}, uint8_t{2}, uint8_t{3}}) {
-    server::Request request;
-    request.version = version;
-    request.op = server::Opcode::kJoin;
-    request.k = 3;
-    request.columns = {{1.0f, 2.0f}};
-    std::istringstream in(server::SerializeRequest(request));
-    server::Request decoded;
-    ASSERT_TRUE(server::DecodeRequest(in, &decoded).ok())
-        << "version " << int(version);
-    EXPECT_EQ(decoded, request);
-  }
-}
-
-TEST(ProtocolVersionTest, ShardOpcodeInsideAV1FrameIsRejected) {
-  server::Request request;
-  request.version = 1;  // lies: shard opcodes need version 2
-  request.op = server::Opcode::kShardQuery;
-  request.k = 5;
-  request.columns = {{1.0f, 2.0f}};
-  std::istringstream in(server::SerializeRequest(request));
-  server::Request decoded;
-  auto status = server::DecodeRequest(in, &decoded);
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), StatusCode::kParseError);
-}
-
-TEST(ProtocolVersionTest, MutationOpcodesInsideOlderFramesAreRejected) {
-  // A v1/v2 peer cannot parse the mutation payloads, so the decoder must
-  // refuse the combination outright — a pre-v3 client never hangs on a
-  // half-understood ADD_TABLE, it gets a clean parse error.
-  for (uint8_t version : {uint8_t{1}, uint8_t{2}}) {
-    for (auto op : {server::Opcode::kAddTable, server::Opcode::kRemoveTable,
-                    server::Opcode::kCompact}) {
-      server::Request request;
-      request.version = version;
-      request.op = op;
-      request.table_id = "t";
-      if (op == server::Opcode::kAddTable) request.columns = {{1.0f, 2.0f}};
-      std::istringstream in(server::SerializeRequest(request));
-      server::Request decoded;
-      auto status = server::DecodeRequest(in, &decoded);
-      ASSERT_FALSE(status.ok())
-          << "op " << int(static_cast<uint8_t>(op)) << " v" << int(version);
-      EXPECT_EQ(status.code(), StatusCode::kParseError);
-      EXPECT_NE(status.ToString().find("requires protocol version"),
-                std::string::npos)
-          << status.ToString();
-    }
-  }
-}
-
-TEST(ProtocolVersionTest, StatsPayloadKeepsTheFiveFieldShapeForOldPeers) {
-  // The churn counters ride only in v3-stamped stats frames; a v1/v2 peer
-  // keeps receiving (and fully consuming) the exact payload it always had.
-  server::Response churned;
-  churned.op = server::Opcode::kStats;
-  churned.stats.requests = 7;
-  churned.stats.pending_delta_tables = 4;
-  churned.stats.pending_tombstones = 2;
-  churned.stats.compactions = 1;
-  churned.version = 2;
-  const std::string old_frame = server::SerializeResponse(churned);
-  churned.version = 3;
-  const std::string new_frame = server::SerializeResponse(churned);
-  // Exactly the three u64 counters of extra payload, and not a byte more.
-  EXPECT_EQ(new_frame.size(), old_frame.size() + 3 * sizeof(uint64_t));
-
-  std::istringstream in(old_frame);
-  server::Response decoded;
-  ASSERT_TRUE(server::DecodeResponse(in, &decoded).ok());
-  EXPECT_EQ(decoded.stats.requests, 7u);
-  EXPECT_EQ(decoded.stats.pending_delta_tables, 0u);
-  EXPECT_EQ(decoded.stats.pending_tombstones, 0u);
-  EXPECT_EQ(decoded.stats.compactions, 0u);
-}
+// One version on the wire: encoders stamp kProtocolVersion and both
+// decoders reject every other version byte, whatever the opcode.
 
 TEST(ProtocolVersionTest, HostileTableIdLengthIsRejectedBeforeAllocation) {
   std::ostringstream hostile;
@@ -737,29 +646,44 @@ TEST(ProtocolVersionTest, HostileTableIdLengthIsRejectedBeforeAllocation) {
   EXPECT_EQ(status.code(), StatusCode::kParseError);
 }
 
-TEST(ProtocolVersionTest, VersionsOutsideTheSupportedRangeAreRejected) {
-  for (uint8_t version : {uint8_t{0}, uint8_t{server::kProtocolVersion + 1}}) {
+TEST(ProtocolVersionTest, EveryOtherVersionByteIsRejected) {
+  // Raw frames, so the version byte is exactly what an older (1, 2) or
+  // newer (4) peer would send: a STATS request, and an OK UNION response
+  // carrying no ids. With the version byte set to kProtocolVersion both
+  // decode.
+  auto request_bytes = [](uint8_t version) {
+    std::ostringstream out;
+    search::io::WritePod(out, version);
+    search::io::WritePod(out, static_cast<uint8_t>(server::Opcode::kStats));
+    return out.str();
+  };
+  auto response_bytes = [](uint8_t version) {
+    std::ostringstream out;
+    search::io::WritePod(out, version);
+    search::io::WritePod(out, static_cast<uint8_t>(server::Opcode::kUnion));
+    search::io::WritePod(out, static_cast<uint8_t>(StatusCode::kOk));
+    search::io::WritePod(out, uint32_t{0});  // result count
+    return out.str();
+  };
+  for (uint8_t version : {uint8_t{0}, uint8_t{1}, uint8_t{2}, uint8_t{4}}) {
+    std::istringstream request_in(request_bytes(version));
     server::Request request;
-    request.version = version;
-    request.op = server::Opcode::kStats;
-    std::istringstream in(server::SerializeRequest(request));
-    server::Request decoded;
-    auto status = server::DecodeRequest(in, &decoded);
-    ASSERT_FALSE(status.ok()) << "version " << int(version);
+    auto status = server::DecodeRequest(request_in, &request);
+    ASSERT_FALSE(status.ok()) << "request version " << int(version);
+    EXPECT_EQ(status.code(), StatusCode::kParseError);
+
+    std::istringstream response_in(response_bytes(version));
+    server::Response response;
+    status = server::DecodeResponse(response_in, &response);
+    ASSERT_FALSE(status.ok()) << "response version " << int(version);
     EXPECT_EQ(status.code(), StatusCode::kParseError);
   }
-}
-
-TEST(ProtocolVersionTest, ErrorResponsesAreDecodableByTheOldestPeer) {
-  // Frame-level errors can be answered before any request version is known;
-  // they must arrive in a version-1 envelope so even a v1 client reads them.
-  server::Response error = server::Response::Error(
-      server::Opcode::kJoin, Status::OutOfRange("too big"));
-  EXPECT_EQ(error.version, 1);
-  std::istringstream in(server::SerializeResponse(error));
-  server::Response decoded;
-  ASSERT_TRUE(server::DecodeResponse(in, &decoded).ok());
-  EXPECT_EQ(decoded, error);
+  std::istringstream request_in(request_bytes(server::kProtocolVersion));
+  server::Request request;
+  EXPECT_TRUE(server::DecodeRequest(request_in, &request).ok());
+  std::istringstream response_in(response_bytes(server::kProtocolVersion));
+  server::Response response;
+  EXPECT_TRUE(server::DecodeResponse(response_in, &response).ok());
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_set>
+#include <utility>
 
 #include "search/lake_manifest.h"
 #include "search/sharded_lake_index.h"
+#include "search/stream_io.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/thread_pool.h"
@@ -23,6 +26,7 @@ using testutil::Corpus;
 using testutil::MakeCorpus;
 using testutil::RandomVec;
 using testutil::RecallAtK;
+using testutil::TempFile;
 
 LakeIndex BuildUnsharded(const Corpus& corpus, size_t dim,
                          const IndexOptions& options = {}) {
@@ -270,16 +274,21 @@ TEST(ShardedLakeIndexTest, HugeManifestTableCountIsAStatusNotAnAllocation) {
   const std::string name = "tsfm_sharded_huge_count.laks";
   const std::string path = testing::TempDir() + "/" + name;
   ASSERT_TRUE(index.Save(path).ok());
-  // A version-1 manifest: magic, version, backend, metric (4 x u32), dim
-  // and shard count (2 x u64), then each shard file name as a u64 length
-  // plus its bytes; the table count follows the names.
-  size_t offset = 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+  // A version-3 manifest: magic, version, backend, metric, storage
+  // (5 x u32), dim, live-table count and shard count (3 x u64), then each
+  // shard file name as a u64 length plus its bytes; the table count
+  // follows the names.
+  size_t offset = 5 * sizeof(uint32_t) + 3 * sizeof(uint64_t);
   for (size_t s = 0; s < 2; ++s) {
     offset += sizeof(uint64_t) + (name + ".shard-" + std::to_string(s)).size();
   }
   const uint64_t huge = uint64_t{1} << 32;  // the largest count the format admits
   {
     std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+    uint64_t count = 0;
+    io.seekg(static_cast<std::streamoff>(offset));
+    io.read(reinterpret_cast<char*>(&count), sizeof(count));
+    ASSERT_EQ(count, corpus.tables.size()) << "the patch must hit the count";
     io.seekp(static_cast<std::streamoff>(offset));
     io.write(reinterpret_cast<const char*>(&huge), sizeof(huge));
   }
@@ -288,6 +297,68 @@ TEST(ShardedLakeIndexTest, HugeManifestTableCountIsAStatusNotAnAllocation) {
   std::remove(path.c_str());
   for (size_t s = 0; s < 2; ++s) {
     std::remove((path + ".shard-" + std::to_string(s)).c_str());
+  }
+}
+
+// Rewrites the manifest at `path` the way an older build wrote it: v1 (no
+// storage word, float32 only) or v2 (storage word). Neither records the
+// live-table count.
+void RewriteManifestAsVersion(const std::string& path, uint32_t version) {
+  auto parsed = LoadLakeManifest(path);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const LakeManifest& manifest = parsed.value();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  io::WritePod(out, kLakeManifestMagic);
+  io::WritePod(out, version);
+  io::WritePod(out, static_cast<uint32_t>(manifest.backend));
+  io::WritePod(out, static_cast<uint32_t>(manifest.metric));
+  if (version >= 2) io::WritePod(out, static_cast<uint32_t>(manifest.storage));
+  io::WritePod(out, manifest.dim);
+  io::WritePod(out, static_cast<uint64_t>(manifest.shard_files.size()));
+  for (const std::string& name : manifest.shard_files) {
+    io::WritePod(out, static_cast<uint64_t>(name.size()));
+    out.write(name.data(), static_cast<std::streamsize>(name.size()));
+  }
+  io::WritePod(out, static_cast<uint64_t>(manifest.locator.size()));
+  for (const auto& [shard, local] : manifest.locator) {
+    io::WritePod(out, shard);
+    io::WritePod(out, local);
+  }
+}
+
+TEST(ShardedLakeIndexTest, OlderManifestVersionsLoad) {
+  // No build writes LAKS v1 or v2 any more; a lake whose manifest an older
+  // build wrote must still load and answer exactly as before.
+  const size_t dim = 10;
+  Corpus corpus = MakeCorpus(40, dim, 62);
+  for (const auto& [version, storage] :
+       {std::pair{1u, Storage::kFloat32}, std::pair{2u, Storage::kSq8}}) {
+    IndexOptions options;
+    options.storage = storage;
+    ShardedLakeIndex index = BuildSharded(corpus, dim, 2, options);
+    TempFile file("tsfm_sharded_manifest_v" + std::to_string(version) +
+                  ".laks");
+    ASSERT_TRUE(index.Save(file.path()).ok());
+    RewriteManifestAsVersion(file.path(), version);
+    uint32_t header[2] = {0, 0};
+    std::ifstream(file.path(), std::ios::binary)
+        .read(reinterpret_cast<char*>(header), sizeof(header));
+    ASSERT_EQ(header[1], version);
+
+    auto loaded = ShardedLakeIndex::Load(file.path());
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().num_shards(), 2u);
+    EXPECT_EQ(loaded.value().options().storage, storage);
+    EXPECT_EQ(loaded.value().num_live_tables(), corpus.tables.size());
+    for (const auto& q : corpus.join_queries) {
+      EXPECT_EQ(loaded.value().QueryJoinable(q, 5), index.QueryJoinable(q, 5))
+          << "v" << version;
+    }
+    for (const auto& q : corpus.union_queries) {
+      EXPECT_EQ(loaded.value().QueryUnionable(q, 5),
+                index.QueryUnionable(q, 5))
+          << "v" << version;
+    }
   }
 }
 
@@ -396,6 +467,68 @@ TEST(ShardedLakeIndexTest, HugeKAnswersLikeEveryColumn) {
       EXPECT_EQ(lake.QueryUnionable(q, k),
                 lake.QueryUnionable(q, every_column))
           << "k=" << k;
+    }
+  }
+}
+
+TEST(ShardedLakeIndexTest, NonFiniteTableIsRejectedAndChangesNoRanking) {
+  // One table holding a NaN and an inf, added first, used to change other
+  // tables' answers: a NaN distance evicts real candidates from the top-k
+  // heap, and SQ8 calibrates its range over every row. The coordinator now
+  // rejects it before any shard sees it, so the lake answers exactly like
+  // the clean one.
+  const size_t dim = 16, k = 10;
+  Rng rng(63);
+  std::vector<std::vector<std::vector<float>>> tables(200);
+  for (auto& table : tables) {
+    table = {RandomVec(&rng, dim), RandomVec(&rng, dim)};
+  }
+  std::vector<std::vector<float>> join_queries;
+  std::vector<std::vector<std::vector<float>>> union_queries;
+  for (size_t q = 0; q < 20; ++q) {
+    join_queries.push_back(RandomVec(&rng, dim));
+    union_queries.push_back({RandomVec(&rng, dim), RandomVec(&rng, dim)});
+  }
+  std::vector<std::vector<float>> poisoned = {RandomVec(&rng, dim),
+                                              RandomVec(&rng, dim)};
+  poisoned[0][3] = std::numeric_limits<float>::quiet_NaN();
+  poisoned[1][5] = std::numeric_limits<float>::infinity();
+
+  for (Storage storage : {Storage::kFloat32, Storage::kSq8}) {
+    for (Metric metric : {Metric::kCosine, Metric::kL2}) {
+      IndexOptions options;
+      options.storage = storage;
+      options.metric = metric;
+      ShardedLakeIndex clean(dim, 1, options);
+      ShardedLakeIndex lake(dim, 1, options);
+      LakeCoordinator& coordinator = lake;
+      Status added = coordinator.AddTable("poisoned", poisoned);
+      EXPECT_EQ(added.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(added.message().find("poisoned"), std::string::npos)
+          << added.ToString();
+      EXPECT_NE(added.message().find("component 3 is nan"), std::string::npos)
+          << added.ToString();
+      for (size_t t = 0; t < tables.size(); ++t) {
+        clean.AddTable("table_" + std::to_string(t), tables[t]);
+        lake.AddTable("table_" + std::to_string(t), tables[t]);
+      }
+      EXPECT_EQ(lake.num_tables(), clean.num_tables());
+      for (const auto& q : join_queries) {
+        EXPECT_EQ(lake.QueryJoinable(q, k), clean.QueryJoinable(q, k));
+      }
+      for (const auto& q : union_queries) {
+        EXPECT_EQ(lake.QueryUnionable(q, k), clean.QueryUnionable(q, k));
+      }
+      // Queries through the coordinator surface get the same check.
+      EXPECT_EQ(coordinator.QueryJoinable(poisoned[1], k).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(coordinator.QueryUnionable(poisoned, k).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(
+          coordinator.QueryJoinable(std::vector<float>(dim + 1), k)
+              .status()
+              .code(),
+          StatusCode::kInvalidArgument);
     }
   }
 }
