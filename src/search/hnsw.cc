@@ -173,20 +173,9 @@ std::vector<std::pair<size_t, float>> HnswIndex::Search(
   return out;
 }
 
-Status HnswIndex::Save(std::ostream& out) const {
-  WritePod(out, kFormatTag);
-  WritePod(out, static_cast<uint32_t>(metric_));
-  WritePod(out, static_cast<uint64_t>(options_.m));
-  WritePod(out, static_cast<uint64_t>(options_.ef_construction));
-  WritePod(out, static_cast<uint64_t>(options_.ef_search));
-  WritePod(out, options_.seed);
-  WritePod(out, static_cast<uint64_t>(dim_));
-  WritePod(out, static_cast<uint64_t>(payloads_.size()));
+Status HnswIndex::SaveGraph(std::ostream& out) const {
   WritePod(out, static_cast<int32_t>(max_level_));
   WritePod(out, entry_point_);
-  for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size() * sizeof(float)));
   for (const Node& node : nodes_) {
     WritePod(out, static_cast<int32_t>(node.level));
     for (const auto& layer : node.neighbours) {
@@ -195,46 +184,23 @@ Status HnswIndex::Save(std::ostream& out) const {
                 static_cast<std::streamsize>(layer.size() * sizeof(uint32_t)));
     }
   }
-  if (!out) return Status::IoError("hnsw index write failed");
+  if (!out) return Status::IoError("hnsw graph write failed");
   return Status::OK();
 }
 
-Result<HnswIndex> HnswIndex::Load(std::istream& in) {
-  uint32_t metric = 0;
-  uint64_t m = 0, ef_construction = 0, ef_search = 0, seed = 0;
-  uint64_t dim = 0, n = 0;
+Status HnswIndex::LoadGraph(std::vector<float> rows, std::istream& in) {
+  TSFM_CHECK(nodes_.empty());
+  TSFM_CHECK_EQ(rows.size() % dim_, 0u);
+  const size_t n = rows.size() / dim_;
   int32_t max_level = -1;
   uint32_t entry_point = 0;
-  if (!ReadPod(in, &metric) || !ReadPod(in, &m) ||
-      !ReadPod(in, &ef_construction) || !ReadPod(in, &ef_search) ||
-      !ReadPod(in, &seed) || !ReadPod(in, &dim) || !ReadPod(in, &n) ||
-      !ReadPod(in, &max_level) || !ReadPod(in, &entry_point)) {
-    return Status::IoError("truncated hnsw header");
+  if (!ReadPod(in, &max_level) || !ReadPod(in, &entry_point)) {
+    return Status::IoError("truncated hnsw graph");
   }
-  if (metric > static_cast<uint32_t>(Metric::kL2) || dim == 0 ||
-      dim > (1u << 20) || m == 0 || m > (1u << 16) || n > (1ull << 32)) {
-    return Status::ParseError("implausible hnsw header");
-  }
-  HnswOptions options;
-  options.m = static_cast<size_t>(m);
-  options.ef_construction = static_cast<size_t>(ef_construction);
-  options.ef_search = static_cast<size_t>(ef_search);
-  options.seed = seed;
-  HnswIndex index(dim, options, static_cast<Metric>(metric));
-  index.max_level_ = max_level;
-  index.entry_point_ = entry_point;
-  index.payloads_.resize(n);
-  for (auto& p : index.payloads_) {
-    uint64_t v = 0;
-    if (!ReadPod(in, &v)) return Status::IoError("truncated hnsw payloads");
-    p = static_cast<size_t>(v);
-  }
-  index.data_.resize(n * dim);
-  in.read(reinterpret_cast<char*>(index.data_.data()),
-          static_cast<std::streamsize>(index.data_.size() * sizeof(float)));
-  if (!in) return Status::IoError("truncated hnsw vectors");
-  index.nodes_.resize(n);
-  for (Node& node : index.nodes_) {
+  // Every allocation below is bounded by the node count, which the rows
+  // already read imply: a level by 64, a neighbour list by n.
+  std::vector<Node> nodes(n);
+  for (Node& node : nodes) {
     int32_t level = 0;
     if (!ReadPod(in, &level)) return Status::IoError("truncated hnsw graph");
     if (level < 0 || level > 64) return Status::ParseError("implausible hnsw level");
@@ -258,23 +224,28 @@ Result<HnswIndex> HnswIndex::Load(std::istream& in) {
   // exists and carries the top level, and a node listed as a neighbour at
   // layer l has a neighbour list for layer l itself.
   if (n > 0) {
-    if (index.entry_point_ >= n ||
-        index.nodes_[index.entry_point_].level != index.max_level_) {
+    if (entry_point >= n || nodes[entry_point].level != max_level) {
       return Status::ParseError("hnsw entry point inconsistent with graph");
     }
-    for (const Node& node : index.nodes_) {
+    for (const Node& node : nodes) {
       for (size_t l = 0; l < node.neighbours.size(); ++l) {
         for (uint32_t nb : node.neighbours[l]) {
-          if (index.nodes_[nb].level < static_cast<int>(l)) {
+          if (nodes[nb].level < static_cast<int>(l)) {
             return Status::ParseError("hnsw neighbour below its layer");
           }
         }
       }
     }
-  } else if (index.max_level_ != -1) {
+  } else if (max_level != -1) {
     return Status::ParseError("hnsw entry point inconsistent with graph");
   }
-  return index;
+  data_ = std::move(rows);
+  payloads_.resize(n);
+  for (size_t r = 0; r < n; ++r) payloads_[r] = r;
+  nodes_ = std::move(nodes);
+  max_level_ = max_level;
+  entry_point_ = entry_point;
+  return Status::OK();
 }
 
 }  // namespace tsfm::search

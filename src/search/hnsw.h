@@ -5,7 +5,9 @@
 // implementation provides the same substrate so the repo's search stack can
 // scale past brute force. Greedy descent through sparse upper layers, then
 // beam search (ef candidates) at layer 0. Construction/search knobs live in
-// HnswOptions (see vector_index.h).
+// HnswOptions (see vector_index.h). A lake file stores the rows (Row) and
+// then the graph (SaveGraph), so loading it restores the graph instead of
+// re-inserting every row.
 #ifndef TSFM_SEARCH_HNSW_H_
 #define TSFM_SEARCH_HNSW_H_
 
@@ -16,6 +18,7 @@
 
 #include "search/vector_index.h"
 #include "util/random.h"
+#include "util/status.h"
 
 namespace tsfm::search {
 
@@ -34,10 +37,6 @@ namespace tsfm::search {
 /// cases anyway (pinned in tests/hnsw_test.cc).
 class HnswIndex : public VectorIndex {
  public:
-  /// Binary stream tag written by Save ("HNS2" — the layout with a metric
-  /// field).
-  static constexpr uint32_t kFormatTag = 0x484e5332;
-
   HnswIndex(size_t dim, HnswOptions options = {}, Metric metric = Metric::kCosine);
 
   /// Inserts a vector with an opaque payload id.
@@ -52,18 +51,25 @@ class HnswIndex : public VectorIndex {
   size_t dim() const override { return dim_; }
   IndexBackend backend() const override { return IndexBackend::kHnsw; }
   Metric metric() const override { return metric_; }
+  const float* Row(size_t i) const override { return VectorOf(i); }
 
   const HnswOptions& options() const { return options_; }
 
-  /// Serializes options, vectors, payloads, and the full layer graph, so a
-  /// loaded index answers queries identically without rebuilding.
-  Status Save(std::ostream& out) const override;
+  /// Writes the layer graph: the max level and entry point, then each
+  /// node's level and its neighbour list per layer. Rows and payloads are
+  /// not included; the caller persists the rows through Row().
+  Status SaveGraph(std::ostream& out) const;
 
-  /// Restores an index whose format tag has already been consumed (see
-  /// LoadVectorIndex for the tagged entry point). The level RNG is
-  /// re-seeded from the stored options, so later Adds remain
-  /// deterministic.
-  static Result<HnswIndex> Load(std::istream& in);
+  /// \brief Restores an empty index from `rows` (Row() of each node in
+  /// order, dim() floats each) and a graph written by SaveGraph.
+  ///
+  /// Node r gets payload r. No row is re-inserted, so the index answers
+  /// exactly like the one that wrote the graph. A graph that is truncated,
+  /// has a level above 64, a neighbour id out of range, an entry point
+  /// that does not carry the max level, or a neighbour listed below its
+  /// own layer is an error Status, and the index stays empty. Check-fails
+  /// on a non-empty index.
+  Status LoadGraph(std::vector<float> rows, std::istream& in);
 
  private:
   struct Node {

@@ -1,18 +1,12 @@
 #include "search/knn_index.h"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "search/distance_kernels.h"
-#include "search/stream_io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace tsfm::search {
-
-using io::ReadPod;
-using io::WritePod;
 
 KnnIndex::KnnIndex(size_t dim, Metric metric, Storage storage)
     : dim_(dim), metric_(metric), storage_(storage) {}
@@ -46,17 +40,17 @@ KnnIndex& KnnIndex::operator=(KnnIndex&& other) noexcept {
 void KnnIndex::Add(size_t payload, const std::vector<float>& vec) {
   TSFM_CHECK_EQ(vec.size(), dim_);
   payloads_.push_back(payload);
+  data_.insert(data_.end(), vec.begin(), vec.end());
   if (storage_ == Storage::kSq8 &&
       quantized_.load(std::memory_order_acquire)) {
-    // The codec is already pinned (trained, loaded, or seeded): encode
-    // straight through it so the row joins the quantized scan.
+    // The codec is already pinned (trained or seeded): encode straight
+    // through it so the row joins the quantized scan.
     codes_.resize(codes_.size() + dim_);
     uint8_t* code = codes_.data() + codes_.size() - dim_;
     codec_.EncodeRow(vec.data(), code);
     norms_.push_back(codec_.DecodedNorm(code));
     return;
   }
-  data_.insert(data_.end(), vec.begin(), vec.end());
   norms_.push_back(Norm(vec.data(), dim_));
 }
 
@@ -74,8 +68,6 @@ void KnnIndex::EnsureQuantized() const {
     // decoded rows — not the original floats.
     norms_[r] = codec_.DecodedNorm(code);
   }
-  data_.clear();
-  data_.shrink_to_fit();
   quantized_.store(true, std::memory_order_release);
 }
 
@@ -151,104 +143,6 @@ std::vector<std::vector<std::pair<size_t, float>>> KnnIndex::SearchBatch(
     for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
   }
   return results;
-}
-
-Status KnnIndex::Save(std::ostream& out) const {
-  if (storage_ == Storage::kSq8) {
-    EnsureQuantized();
-    WritePod(out, kSq8FormatTag);
-    WritePod(out, static_cast<uint32_t>(metric_));
-    WritePod(out, static_cast<uint64_t>(dim_));
-    WritePod(out, static_cast<uint64_t>(payloads_.size()));
-    for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-    if (Status s = codec_.Save(out); !s.ok()) return s;
-    out.write(reinterpret_cast<const char*>(codes_.data()),
-              static_cast<std::streamsize>(codes_.size()));
-    if (!out) return Status::IoError("sq8 flat index write failed");
-    return Status::OK();
-  }
-  WritePod(out, kFormatTag);
-  WritePod(out, static_cast<uint32_t>(metric_));
-  WritePod(out, static_cast<uint64_t>(dim_));
-  WritePod(out, static_cast<uint64_t>(payloads_.size()));
-  for (size_t p : payloads_) WritePod(out, static_cast<uint64_t>(p));
-  out.write(reinterpret_cast<const char*>(data_.data()),
-            static_cast<std::streamsize>(data_.size() * sizeof(float)));
-  if (!out) return Status::IoError("flat index write failed");
-  return Status::OK();
-}
-
-namespace {
-
-struct FlatHeader {
-  uint32_t metric = 0;
-  uint64_t dim = 0;
-  uint64_t n = 0;
-};
-
-// Shared header + payload prefix of both flat layouts (tag already
-// consumed by the caller).
-Status ReadFlatPrefix(std::istream& in, FlatHeader* header,
-                      std::vector<size_t>* payloads) {
-  if (!ReadPod(in, &header->metric) || !ReadPod(in, &header->dim) ||
-      !ReadPod(in, &header->n)) {
-    return Status::IoError("truncated flat index header");
-  }
-  if (header->metric > static_cast<uint32_t>(Metric::kL2) ||
-      header->dim == 0 || header->dim > (1u << 20) ||
-      header->n > (1ull << 32)) {
-    return Status::ParseError("implausible flat index header");
-  }
-  payloads->resize(header->n);
-  for (auto& p : *payloads) {
-    uint64_t v = 0;
-    if (!ReadPod(in, &v)) return Status::IoError("truncated flat payloads");
-    p = static_cast<size_t>(v);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<KnnIndex> KnnIndex::Load(std::istream& in) {
-  FlatHeader header;
-  std::vector<size_t> payloads;
-  if (Status s = ReadFlatPrefix(in, &header, &payloads); !s.ok()) return s;
-  KnnIndex index(header.dim, static_cast<Metric>(header.metric));
-  index.payloads_ = std::move(payloads);
-  index.data_.resize(header.n * header.dim);
-  in.read(reinterpret_cast<char*>(index.data_.data()),
-          static_cast<std::streamsize>(index.data_.size() * sizeof(float)));
-  if (!in) return Status::IoError("truncated flat vectors");
-  index.norms_.reserve(header.n);
-  for (uint64_t r = 0; r < header.n; ++r) {
-    index.norms_.push_back(Norm(index.data_.data() + r * header.dim,
-                                header.dim));
-  }
-  return index;
-}
-
-Result<KnnIndex> KnnIndex::LoadSq8(std::istream& in) {
-  FlatHeader header;
-  std::vector<size_t> payloads;
-  if (Status s = ReadFlatPrefix(in, &header, &payloads); !s.ok()) return s;
-  auto codec = Sq8Codec::Load(in, header.dim);
-  if (!codec.ok()) return codec.status();
-  KnnIndex index(header.dim, static_cast<Metric>(header.metric),
-                 Storage::kSq8);
-  index.payloads_ = std::move(payloads);
-  index.codes_.resize(header.n * header.dim);
-  in.read(reinterpret_cast<char*>(index.codes_.data()),
-          static_cast<std::streamsize>(index.codes_.size()));
-  if (!in) return Status::IoError("truncated sq8 rows");
-  index.codec_ = std::move(codec).value();
-  index.norms_.reserve(header.n);
-  for (uint64_t r = 0; r < header.n; ++r) {
-    index.norms_.push_back(
-        index.codec_.DecodedNorm(index.codes_.data() + r * header.dim));
-  }
-  index.quantized_.store(true, std::memory_order_release);
-  return index;
 }
 
 }  // namespace tsfm::search

@@ -5,20 +5,21 @@
 // exact, cache-friendly, and the recall reference every approximate backend
 // is tested against.
 //
-// With Storage::kSq8 the rows live as scalar-quantized bytes instead of
-// floats (4x smaller; see quantizer.h). Quantization is lazy: Add keeps
-// accumulating float rows, and the first Search/Save calibrates the codec
-// over everything added so far, encodes the rows, and drops the float
-// copies. An index restored from disk (or seeded via SeedSq8Codec) keeps
-// the persisted calibration and encodes later Adds directly, so a
-// save/load round-trip is faithful byte-for-byte.
+// With Storage::kSq8 the scan reads scalar-quantized bytes instead of
+// floats (4x smaller rows to stream; see quantizer.h). Quantization is
+// lazy: the first Search calibrates the codec over everything added so
+// far and encodes the rows; later Adds encode through that calibration.
+// An index seeded with a saved codec (SeedSq8Codec, how a lake file is
+// restored) encodes every Add through it from the start. The float rows
+// stay beside the codes: Row() hands them to a lake's Save, and a
+// compaction retrains the codec from them, which keeps it bit-identical
+// to a rebuild.
 #ifndef TSFM_SEARCH_KNN_INDEX_H_
 #define TSFM_SEARCH_KNN_INDEX_H_
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <utility>
 #include <vector>
 
@@ -32,12 +33,6 @@ namespace tsfm::search {
 /// \brief Brute-force exact kNN with payload ids (the kFlat backend).
 class KnnIndex : public VectorIndex {
  public:
-  /// Binary stream tag written by Save for float32 storage ("FLAT").
-  static constexpr uint32_t kFormatTag = 0x464c4154;
-
-  /// Binary stream tag written by Save for SQ8 storage ("FSQ8").
-  static constexpr uint32_t kSq8FormatTag = 0x38515346;
-
   explicit KnnIndex(size_t dim, Metric metric = Metric::kCosine,
                     Storage storage = Storage::kFloat32);
 
@@ -78,6 +73,7 @@ class KnnIndex : public VectorIndex {
   IndexBackend backend() const override { return IndexBackend::kFlat; }
   Metric metric() const override { return metric_; }
   Storage storage() const { return storage_; }
+  const float* Row(size_t i) const override { return data_.data() + i * dim_; }
 
   /// \brief Installs a pre-trained codec on an empty kSq8 index.
   ///
@@ -91,17 +87,9 @@ class KnnIndex : public VectorIndex {
   /// float32 index.
   const Sq8Codec* sq8_codec() const;
 
-  Status Save(std::ostream& out) const override;
-
-  /// Restores a float32 index whose kFormatTag has already been consumed
-  /// (see LoadVectorIndex for the tagged entry point).
-  static Result<KnnIndex> Load(std::istream& in);
-
-  /// Restores an SQ8 index whose kSq8FormatTag has already been consumed.
-  static Result<KnnIndex> LoadSq8(std::istream& in);
-
  private:
-  // Calibrates + encodes the pending float rows on first use (kSq8 only).
+  // Calibrates over the float rows and encodes them on first use (kSq8
+  // only).
   // Const because it is reached from searches: double-checked on quantized_
   // so the steady state is one relaxed-ish atomic load.
   void EnsureQuantized() const;
@@ -109,17 +97,16 @@ class KnnIndex : public VectorIndex {
   size_t dim_;
   Metric metric_;
   Storage storage_;
-  // data_/norms_/codec_/codes_ are deliberately NOT lock-annotated: they
-  // follow the double-checked publication protocol on quantized_, not a
-  // mutex. Writers hold quantize_mu_ while encoding, then publish with a
-  // release store of quantized_; readers that observed quantized_ == true
+  // norms_/codec_/codes_ are deliberately NOT lock-annotated: they follow
+  // the double-checked publication protocol on quantized_, not a mutex.
+  // Writers hold quantize_mu_ while encoding, then publish with a release
+  // store of quantized_; readers that observed quantized_ == true
   // (acquire) read them lock-free. That protocol is outside what the
   // static analysis can express — TSan (which sees the acquire/release
-  // edge) is the checker of record here. Adds may not overlap searches on
-  // the same index by the VectorIndex contract, which is what makes the
-  // pre-publication float reads in EnsureQuantized safe.
-  mutable std::vector<float> data_;  // row-major float rows; under kSq8,
-                                     // only the not-yet-encoded pending rows
+  // edge) is the checker of record here. The float rows are outside it:
+  // only Add writes them, and Adds may not overlap searches on the same
+  // index by the VectorIndex contract.
+  std::vector<float> data_;  // row-major float rows, as added (kSq8 too)
   std::vector<size_t> payloads_;
   mutable std::vector<float> norms_;  // L2 norms for cosine; decoded norms
                                       // once rows are quantized

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <utility>
 
 #include "search/quantizer.h"
@@ -23,9 +24,11 @@ constexpr uint32_t kMagicV2 = 0x4c414b32;  // "LAK2" — versioned header
 // Version 2: backend/metric/hnsw header. Version 3 adds a storage word to
 // the header and an Sq8Codec calibration section ("CSQ8") before the table
 // records. Version 4 adds a churn section (base table count + tombstone
-// list) between the header and the table records. Save always writes
-// version 4; Load reads every version.
-constexpr uint32_t kFormatVersion = 4;
+// list) between the header and the table records. Version 5 stores HNSW
+// base rows as the graph holds them and appends the graph after the
+// records (flat files are version 4's bytes). Save always writes version
+// 5; Load reads every version.
+constexpr uint32_t kFormatVersion = 5;
 
 // Reads `len` bytes into `out` in bounded chunks, so a corrupt length
 // fails at end of file instead of allocating `len` bytes up front.
@@ -82,7 +85,7 @@ LakeIndex::LakeIndex(size_t dim, const IndexOptions& options)
 void LakeIndex::MoveFieldsFrom(LakeIndex&& other) {
   dim_ = other.dim_;
   table_ids_ = std::move(other.table_ids_);
-  columns_ = std::move(other.columns_);
+  column_counts_ = std::move(other.column_counts_);
   index_ = std::move(other.index_);
   sealed_ = other.sealed_;
   base_tables_ = other.base_tables_;
@@ -107,20 +110,36 @@ LakeIndex& LakeIndex::operator=(LakeIndex&& other) noexcept {
   return *this;
 }
 
-size_t LakeIndex::AddTable(const std::string& table_id,
-                           const std::vector<std::vector<float>>& column_embeddings) {
-  for (const auto& col : column_embeddings) {
-    TSFM_CHECK_EQ(col.size(), dim_);
-  }
-  WriterMutexLock lock(&mu_);
-  size_t handle = table_ids_.size();
+size_t LakeIndex::RegisterLocked(const std::string& table_id,
+                                 size_t num_columns) {
+  const size_t handle = table_ids_.size();
   table_ids_.push_back(table_id);
-  columns_.push_back(column_embeddings);
+  column_counts_.push_back(num_columns);
   dead_.push_back(0);
   handles_by_id_[table_id].push_back(handle);
-  if (!sealed_) {
+  if (!sealed_) base_tables_ = handle + 1;
+  return handle;
+}
+
+std::vector<std::vector<float>> LakeIndex::ColumnsLocked(
+    size_t handle, size_t first_row) const {
+  const ColumnEmbeddingIndex& segment = SegmentLocked(handle);
+  std::vector<std::vector<float>> columns(column_counts_[handle]);
+  for (size_t c = 0; c < columns.size(); ++c) {
+    const float* row = segment.Row(first_row + c);
+    columns[c].assign(row, row + dim_);
+  }
+  return columns;
+}
+
+size_t LakeIndex::AddTable(const std::string& table_id,
+                           const std::vector<std::vector<float>>& column_embeddings) {
+  const Status valid = CheckVectors(column_embeddings, dim_);
+  TSFM_CHECK(valid.ok()) << "table \"" << table_id << "\": " << valid.message();
+  WriterMutexLock lock(&mu_);
+  const size_t handle = RegisterLocked(table_id, column_embeddings.size());
+  if (handle < base_tables_) {
     index_.AddTable(handle, column_embeddings);
-    base_tables_ = handle + 1;
   } else {
     if (delta_ == nullptr) {
       delta_ = std::make_unique<ColumnEmbeddingIndex>(
@@ -145,7 +164,7 @@ Status LakeIndex::RemoveTable(const std::string& table_id) {
       it->second.pop_back();
       dead_[handle] = 1;
       ++dead_tables_;
-      const size_t cols = columns_[handle].size();
+      const size_t cols = column_counts_[handle];
       if (handle < base_tables_) {
         dead_base_columns_ += cols;
       } else {
@@ -177,11 +196,15 @@ Result<std::vector<size_t>> LakeIndex::PrepareCompaction() {
       }
     } else {
       image = std::make_unique<LakeIndex>(dim_, index_.options());
-      for (size_t handle = 0; handle < table_ids_.size(); ++handle) {
+      for (size_t handle = 0, row = 0; handle < table_ids_.size(); ++handle) {
+        if (handle == base_tables_) row = 0;  // delta rows restart at 0
+        const size_t first_row = row;
+        row += column_counts_[handle];
         if (dead_[handle] != 0) continue;
         // Survivors keep their relative insertion order, so re-densified
         // handles tie-break Fig 6 ranks exactly like a from-scratch build.
-        remap[handle] = image->AddTable(table_ids_[handle], columns_[handle]);
+        remap[handle] = image->AddTable(table_ids_[handle],
+                                        ColumnsLocked(handle, first_row));
       }
     }
   }
@@ -302,16 +325,20 @@ Status LakeIndex::Save(const std::string& path) const {
     if (dead_[handle] != 0) WritePod(out, static_cast<uint64_t>(handle));
   }
   WritePod(out, static_cast<uint64_t>(table_ids_.size()));
-  for (size_t t = 0; t < table_ids_.size(); ++t) {
-    uint64_t id_len = table_ids_[t].size();
-    uint64_t num_cols = columns_[t].size();
-    WritePod(out, id_len);
-    out.write(table_ids_[t].data(), static_cast<std::streamsize>(id_len));
-    WritePod(out, num_cols);
-    for (const auto& col : columns_[t]) {
-      out.write(reinterpret_cast<const char*>(col.data()),
-                static_cast<std::streamsize>(col.size() * sizeof(float)));
+  for (size_t t = 0, row = 0; t < table_ids_.size(); ++t) {
+    if (t == base_tables_) row = 0;  // delta rows restart at 0
+    const ColumnEmbeddingIndex& segment = SegmentLocked(t);
+    WritePod(out, static_cast<uint64_t>(table_ids_[t].size()));
+    out.write(table_ids_[t].data(),
+              static_cast<std::streamsize>(table_ids_[t].size()));
+    WritePod(out, static_cast<uint64_t>(column_counts_[t]));
+    for (size_t c = 0; c < column_counts_[t]; ++c, ++row) {
+      out.write(reinterpret_cast<const char*>(segment.Row(row)),
+                static_cast<std::streamsize>(dim_ * sizeof(float)));
     }
+  }
+  if (opt.backend == IndexBackend::kHnsw) {
+    if (Status s = index_.SaveGraph(out); !s.ok()) return s;
   }
   if (!out) return Status::IoError("write failed for " + path);
   return Status::OK();
@@ -402,6 +429,11 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
     return Status::ParseError("lake index " + path +
                               " claims more base tables than tables");
   }
+  // A v5 HNSW base is linked by the graph stored after the records: its
+  // rows are collected here as the graph stores them, not re-inserted.
+  const bool stored_graph =
+      version >= 5 && options.backend == IndexBackend::kHnsw;
+  std::vector<float> graph_rows;
   for (uint64_t t = 0; t < num_tables; ++t) {
     if (t == base_tables) index.Seal();
     // Ids and columns grow as their bytes arrive: a corrupt count ends in
@@ -425,7 +457,25 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
       return Status::ParseError("lake index " + path + " table \"" + id +
                                 "\": " + s.message());
     }
-    index.AddTable(id, cols);
+    if (stored_graph && t < base_tables) {
+      for (const auto& col : cols) {
+        graph_rows.insert(graph_rows.end(), col.begin(), col.end());
+      }
+      WriterMutexLock lock(&index.mu_);
+      index.RegisterLocked(id, cols.size());
+    } else {
+      index.AddTable(id, cols);
+    }
+  }
+  if (stored_graph) {
+    WriterMutexLock lock(&index.mu_);
+    const std::span<const size_t> base_columns(index.column_counts_.data(),
+                                               index.base_tables_);
+    if (Status s = index.index_.LoadGraph(std::move(graph_rows), base_columns,
+                                          in);
+        !s.ok()) {
+      return Status(s.code(), "lake index " + path + ": " + s.message());
+    }
   }
   // Replay the tombstones directly: RemoveTable's newest-live-first rule
   // must not reshuffle which of several same-id handles died. As above,
@@ -439,7 +489,7 @@ Result<LakeIndex> LakeIndex::Load(const std::string& path) {
       }
       index.dead_[handle] = 1;
       ++index.dead_tables_;
-      const size_t cols = index.columns_[handle].size();
+      const size_t cols = index.column_counts_[handle];
       if (handle < index.base_tables_) {
         index.dead_base_columns_ += cols;
       } else {

@@ -4,7 +4,10 @@
 //
 // The ANN backend (exact flat scan or HNSW) is chosen at construction and
 // recorded in the on-disk format, so the online half reopens the index with
-// the same behaviour the offline half built it with.
+// the same behaviour the offline half built it with. The segment indexes
+// hold the only in-memory copy of the vectors: Save and compaction read
+// each table's rows back from its segment, and an HNSW file carries its
+// graph, so Load restores the graph instead of rebuilding it.
 //
 // Mutability (ROADMAP "Mutable lakes"): a lake is built in two phases.
 // Before Seal(), AddTable appends straight into the base segment — the
@@ -70,7 +73,9 @@ class LakeIndex final : public Shard {
   /// Registers a table's column embeddings under a stable string id.
   /// Returns the table's dense index handle. Before Seal() the table joins
   /// the base segment; after, the delta segment. Safe to call concurrently
-  /// with queries.
+  /// with queries. Check-fails on a column CheckVectors rejects (wrong dim,
+  /// NaN or infinite component), since Save would write it to a file Load
+  /// refuses.
   size_t AddTable(const std::string& table_id,
                   const std::vector<std::vector<float>>& column_embeddings)
       LAKS_EXCLUDES(mu_);
@@ -119,18 +124,22 @@ class LakeIndex final : public Shard {
       LAKS_EXCLUDES(mu_);
   ShardCounts Counts() const override LAKS_EXCLUDES(mu_);
 
-  /// Persists the index as "LAK2" version 4, the only version written:
+  /// Persists the index as "LAK2" version 5, the only version written:
   /// header (backend, metric, storage, HNSW knobs), the SQ8 codec when
   /// quantized, the churn section (base table count and tombstones, empty
-  /// for an unchurned lake), then table ids and per-table embeddings.
+  /// for an unchurned lake), then table ids and per-table embeddings as
+  /// the segments store them (unit-norm base rows for HNSW under cosine),
+  /// and last, for an HNSW base only, its layer graph.
   Status Save(const std::string& path) const LAKS_EXCLUDES(mu_);
 
-  /// Loads an index written by Save, or by an older build (LAK2 v2/v3, or
+  /// Loads an index written by Save, or by an older build (LAK2 v2-v4, or
   /// the headerless "LAKE" format, which defaults to the flat backend),
-  /// and seals it. A count in the file that the remaining bytes cannot
-  /// hold is a Status, never an allocation of that size; a table record
-  /// holding a non-finite component is a ParseError naming the file and
-  /// the table.
+  /// and seals it. A v5 HNSW base is restored from its rows and stored
+  /// graph; older files replay AddTable, which rebuilds an HNSW graph. A
+  /// count in the file that the remaining bytes cannot hold is a Status,
+  /// never an allocation of that size; a table record holding a
+  /// non-finite component, or a malformed graph, is a ParseError naming
+  /// the file.
   static Result<LakeIndex> Load(const std::string& path);
 
   /// Handle-space size: live + tombstoned tables (handles stay dense and
@@ -163,6 +172,22 @@ class LakeIndex final : public Shard {
   bool ChurnedLocked() const LAKS_REQUIRES_SHARED(mu_) {
     return dead_tables_ > 0 || table_ids_.size() > base_tables_;
   }
+  /// Appends the bookkeeping of a table with `num_columns` columns (its
+  /// rows are the caller's to add) and returns its handle.
+  size_t RegisterLocked(const std::string& table_id, size_t num_columns)
+      LAKS_REQUIRES(mu_);
+  /// The segment holding `handle`'s rows.
+  const ColumnEmbeddingIndex& SegmentLocked(size_t handle) const
+      LAKS_REQUIRES_SHARED(mu_) {
+    return handle < base_tables_ ? index_ : *delta_;
+  }
+  /// `handle`'s columns, read back from its segment starting at
+  /// `first_row`. A table's columns are a contiguous run of its segment's
+  /// rows; base handles come first and delta rows restart at 0, so one
+  /// running row offset over the handles finds every table.
+  std::vector<std::vector<float>> ColumnsLocked(size_t handle,
+                                                size_t first_row) const
+      LAKS_REQUIRES_SHARED(mu_);
   /// Drops tombstoned hits and truncates to `m` (in place).
   void FilterDeadLocked(ColumnHits* hits, size_t m) const
       LAKS_REQUIRES_SHARED(mu_);
@@ -177,8 +202,8 @@ class LakeIndex final : public Shard {
 
   size_t dim_;  // immutable after construction (moves excepted)
   std::vector<std::string> table_ids_ LAKS_GUARDED_BY(mu_);
-  // Per-table embeddings.
-  std::vector<std::vector<std::vector<float>>> columns_ LAKS_GUARDED_BY(mu_);
+  // Column count, by handle.
+  std::vector<size_t> column_counts_ LAKS_GUARDED_BY(mu_);
   // Base segment: handles [0, base_tables_).
   ColumnEmbeddingIndex index_ LAKS_GUARDED_BY(mu_);
 

@@ -17,8 +17,8 @@
 // uint8-row kernels live in the DistanceKernel dispatch
 // (distance_kernels.h: dot_multi_sq8 / l2sq_multi_sq8 and
 // ScanTopKMultiSq8), and the quantized index storage lives in KnnIndex. Persistence is a tagged
-// "CSQ8" section embedded in the LAK2 / FSQ8 images so calibration
-// survives save/load bit-exactly.
+// "CSQ8" section embedded in SQ8 LAK2 files so calibration survives
+// save/load bit-exactly.
 #ifndef TSFM_SEARCH_QUANTIZER_H_
 #define TSFM_SEARCH_QUANTIZER_H_
 

@@ -247,9 +247,9 @@ class LakeCoordinator {
 /// exactly as LakeCoordinator describes. Input that LakeCoordinator
 /// rejects (a wrong-dim or non-finite vector) check-fails here, as
 /// LakeIndex::AddTable does on a wrong dim: validate untrusted vectors
-/// through the LakeCoordinator surface, which returns the Status. Like
-/// LakeIndex, each shard retains its raw column embeddings so Save can
-/// write self-contained shard files.
+/// through the LakeCoordinator surface, which returns the Status. Each
+/// shard's Save reads its rows back from its segment indexes, so the
+/// shard files are self-contained (an HNSW one carries its graph).
 class ShardedLakeIndex : public LakeCoordinator {
  public:
   /// Creates an empty index of `num_shards` shards (clamped to >= 1), each

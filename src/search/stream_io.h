@@ -1,6 +1,6 @@
 // POD binary stream helpers shared by the search-layer serializers
-// (KnnIndex, HnswIndex, LakeIndex). Little-endian host layout, matching the
-// rest of the on-disk formats.
+// (LakeIndex, HnswIndex's graph section, LakeManifest). Little-endian host
+// layout, matching the rest of the on-disk formats.
 #ifndef TSFM_SEARCH_STREAM_IO_H_
 #define TSFM_SEARCH_STREAM_IO_H_
 

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "search/hnsw.h"
 #include "search/knn_index.h"
 #include "util/logging.h"
 
@@ -37,6 +38,27 @@ void ColumnEmbeddingIndex::SeedSq8Codec(Sq8Codec codec) {
 const Sq8Codec* ColumnEmbeddingIndex::sq8_codec() const {
   const auto* flat = dynamic_cast<const KnnIndex*>(index_.get());
   return flat != nullptr ? flat->sq8_codec() : nullptr;
+}
+
+Status ColumnEmbeddingIndex::SaveGraph(std::ostream& out) const {
+  const auto* hnsw = dynamic_cast<const HnswIndex*>(index_.get());
+  TSFM_CHECK(hnsw != nullptr);
+  return hnsw->SaveGraph(out);
+}
+
+Status ColumnEmbeddingIndex::LoadGraph(std::vector<float> rows,
+                                       std::span<const size_t> table_columns,
+                                       std::istream& in) {
+  auto* hnsw = dynamic_cast<HnswIndex*>(index_.get());
+  TSFM_CHECK(hnsw != nullptr);
+  size_t columns = 0;
+  for (size_t count : table_columns) columns += count;
+  TSFM_CHECK_EQ(columns * dim(), rows.size());
+  if (Status s = hnsw->LoadGraph(std::move(rows), in); !s.ok()) return s;
+  for (size_t t = 0; t < table_columns.size(); ++t) {
+    for (size_t c = 0; c < table_columns[t]; ++c) column_of_.emplace_back(t, c);
+  }
+  return Status::OK();
 }
 
 void ColumnEmbeddingIndex::AddTable(size_t table_id,

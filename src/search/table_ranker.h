@@ -6,17 +6,20 @@
 //   RANK2 = sum of column distances (ascending tie-break)
 //
 // ColumnEmbeddingIndex holds one segment's column corpus behind a
-// pluggable VectorIndex (exact flat scan or HNSW); TableRanker holds the
-// merge and RANK1/RANK2 halves the lake coordinator
-// (sharded_lake_index.h) runs after KNNSEARCH.
+// pluggable VectorIndex (exact flat scan or HNSW), the only in-memory copy
+// of its vectors; TableRanker holds the merge and RANK1/RANK2 halves the
+// lake coordinator (sharded_lake_index.h) runs after KNNSEARCH.
 #ifndef TSFM_SEARCH_TABLE_RANKER_H_
 #define TSFM_SEARCH_TABLE_RANKER_H_
 
 #include <cstddef>
+#include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "search/vector_index.h"
+#include "util/status.h"
 
 namespace tsfm {
 class ThreadPool;
@@ -31,7 +34,8 @@ class ColumnEmbeddingIndex {
  public:
   explicit ColumnEmbeddingIndex(size_t dim, const IndexOptions& options = {});
 
-  /// Adds every column embedding of table `table_id`.
+  /// Adds every column embedding of table `table_id`. A table's columns
+  /// take the next consecutive rows, in column order.
   void AddTable(size_t table_id, const std::vector<std::vector<float>>& columns);
 
   /// One nearest-column entry of a column query.
@@ -51,6 +55,21 @@ class ColumnEmbeddingIndex {
   size_t num_columns() const { return index_->size(); }
   size_t dim() const { return index_->dim(); }
   const IndexOptions& options() const { return options_; }
+  /// Row `i` as the backend stores it (VectorIndex::Row), dim() floats.
+  const float* Row(size_t i) const { return index_->Row(i); }
+
+  /// Writes an HNSW corpus's layer graph (HnswIndex::SaveGraph).
+  /// Check-fails on a flat corpus.
+  Status SaveGraph(std::ostream& out) const;
+
+  /// \brief Restores an empty HNSW corpus from its stored rows and a graph
+  /// written by SaveGraph (HnswIndex::LoadGraph), without re-inserting.
+  ///
+  /// Table t owns the next `table_columns[t]` rows of `rows`, as AddTable
+  /// laid them out. Check-fails unless the corpus is an empty HNSW one and
+  /// the counts sum to the row count.
+  Status LoadGraph(std::vector<float> rows,
+                   std::span<const size_t> table_columns, std::istream& in);
 
   /// \brief Installs a pre-trained SQ8 codec on an empty kSq8 flat index.
   ///

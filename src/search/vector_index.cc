@@ -1,7 +1,5 @@
 #include "search/vector_index.h"
 
-#include <istream>
-
 #include "search/hnsw.h"
 #include "search/knn_index.h"
 #include "util/thread_pool.h"
@@ -29,31 +27,6 @@ std::unique_ptr<VectorIndex> MakeVectorIndex(size_t dim,
     return std::make_unique<HnswIndex>(dim, options.hnsw, options.metric);
   }
   return std::make_unique<KnnIndex>(dim, options.metric, options.storage);
-}
-
-Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(std::istream& in) {
-  uint32_t tag = 0;
-  in.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-  if (!in) return Status::IoError("truncated vector-index stream");
-  if (tag == KnnIndex::kFormatTag) {
-    auto loaded = KnnIndex::Load(in);
-    if (!loaded.ok()) return loaded.status();
-    return std::unique_ptr<VectorIndex>(
-        std::make_unique<KnnIndex>(std::move(loaded).value()));
-  }
-  if (tag == KnnIndex::kSq8FormatTag) {
-    auto loaded = KnnIndex::LoadSq8(in);
-    if (!loaded.ok()) return loaded.status();
-    return std::unique_ptr<VectorIndex>(
-        std::make_unique<KnnIndex>(std::move(loaded).value()));
-  }
-  if (tag == HnswIndex::kFormatTag) {
-    auto loaded = HnswIndex::Load(in);
-    if (!loaded.ok()) return loaded.status();
-    return std::unique_ptr<VectorIndex>(
-        std::make_unique<HnswIndex>(std::move(loaded).value()));
-  }
-  return Status::ParseError("unknown vector-index backend tag");
 }
 
 }  // namespace tsfm::search

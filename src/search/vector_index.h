@@ -4,21 +4,19 @@
 // column-embedding index; VectorIndex is the seam that lets that index be
 // either exact brute force (KnnIndex) or an HNSW graph (HnswIndex, the
 // substrate DeepJoin uses at scale) without the ranking stack caring which.
-// Backends are chosen with IndexOptions and constructed via MakeVectorIndex;
-// both serialize to a tagged binary stream so an offline builder and an
-// online server can exchange ready-built indexes.
+// Backends are chosen with IndexOptions and constructed via MakeVectorIndex.
+// An index persists only inside a lake file (search/lake_index.h), which
+// writes the rows Row() hands back, plus the graph for HNSW.
 #ifndef TSFM_SEARCH_VECTOR_INDEX_H_
 #define TSFM_SEARCH_VECTOR_INDEX_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "search/distance_kernels.h"  // Metric + the kernel seam below it
-#include "util/status.h"
 
 namespace tsfm {
 class ThreadPool;
@@ -99,18 +97,15 @@ class VectorIndex {
   virtual IndexBackend backend() const = 0;
   virtual Metric metric() const = 0;
 
-  /// Writes a self-describing binary image (backend tag + payload) that
-  /// LoadVectorIndex can restore.
-  virtual Status Save(std::ostream& out) const = 0;
+  /// The i-th added vector (i < size()) as the backend stores it: the
+  /// float row as added for the flat backend (under kSq8 too), the
+  /// unit-normalized row for HNSW under cosine. dim() floats.
+  virtual const float* Row(size_t i) const = 0;
 };
 
 /// Constructs an empty index of the requested backend.
 std::unique_ptr<VectorIndex> MakeVectorIndex(size_t dim,
                                              const IndexOptions& options = {});
-
-/// Restores an index written by VectorIndex::Save, dispatching on the
-/// backend tag.
-Result<std::unique_ptr<VectorIndex>> LoadVectorIndex(std::istream& in);
 
 }  // namespace tsfm::search
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <unordered_set>
 
 #include "search/hnsw.h"
@@ -155,47 +154,6 @@ TEST(HnswTest, RecallAtTenAtLeastPointNineVsExact) {
   EXPECT_GE(recall_sum / queries, 0.9);
 }
 
-TEST(HnswTest, SaveLoadAnswersIdentically) {
-  Rng rng(7);
-  const size_t dim = 12;
-  HnswIndex index(dim);
-  for (size_t i = 0; i < 120; ++i) index.Add(i * 7, RandomUnit(dim, &rng));
-
-  std::stringstream stream;
-  ASSERT_TRUE(index.Save(stream).ok());
-  uint32_t tag = 0;
-  stream.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-  ASSERT_EQ(tag, HnswIndex::kFormatTag);
-  auto loaded = HnswIndex::Load(stream);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().size(), index.size());
-  for (size_t q = 0; q < 10; ++q) {
-    auto query = RandomUnit(dim, &rng);
-    EXPECT_EQ(loaded.value().Search(query, 10), index.Search(query, 10));
-  }
-}
-
-TEST(HnswTest, LoadRejectsCorruptEntryPoint) {
-  Rng rng(9);
-  HnswIndex index(4);
-  for (size_t i = 0; i < 20; ++i) index.Add(i, RandomUnit(4, &rng));
-  std::stringstream stream;
-  ASSERT_TRUE(index.Save(stream).ok());
-  std::string bytes = stream.str();
-  // Header layout after the 4-byte tag: metric (u32), m, ef_construction,
-  // ef_search, seed (u64 each), dim, n (u64 each), max_level (i32),
-  // entry_point (u32).
-  const size_t entry_point_offset =
-      4 + sizeof(uint32_t) + 6 * sizeof(uint64_t) + sizeof(int32_t);
-  uint32_t bogus = 1000;
-  bytes.replace(entry_point_offset, sizeof(bogus),
-                reinterpret_cast<const char*>(&bogus), sizeof(bogus));
-  std::stringstream corrupt(bytes);
-  uint32_t tag = 0;
-  corrupt.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-  EXPECT_FALSE(HnswIndex::Load(corrupt).ok());
-}
-
 TEST(HnswTest, L2NeighboursAgreeWithFlatScan) {
   // Metric parity: with IndexOptions.metric = kL2 both backends must rank
   // by Euclidean distance. On a small corpus with a wide beam the graph
@@ -234,42 +192,6 @@ TEST(HnswTest, L2NeighboursAgreeWithFlatScan) {
     recall_sum += static_cast<double>(hits) / k;
   }
   EXPECT_GE(recall_sum / queries, 0.9);
-}
-
-TEST(HnswTest, SaveLoadPreservesL2Metric) {
-  Rng rng(11);
-  HnswIndex index(6, HnswOptions{}, Metric::kL2);
-  for (size_t i = 0; i < 50; ++i) {
-    std::vector<float> vec(6);
-    for (auto& x : vec) x = static_cast<float>(rng.Normal());
-    index.Add(i, vec);
-  }
-  std::stringstream stream;
-  ASSERT_TRUE(index.Save(stream).ok());
-  uint32_t tag = 0;
-  stream.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-  auto loaded = HnswIndex::Load(stream);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().metric(), Metric::kL2);
-  std::vector<float> query(6, 0.5f);
-  EXPECT_EQ(loaded.value().Search(query, 5), index.Search(query, 5));
-}
-
-TEST(HnswTest, LoadedIndexAcceptsFurtherAdds) {
-  Rng rng(8);
-  HnswIndex index(8);
-  for (size_t i = 0; i < 50; ++i) index.Add(i, RandomUnit(8, &rng));
-  std::stringstream stream;
-  ASSERT_TRUE(index.Save(stream).ok());
-  uint32_t tag = 0;
-  stream.read(reinterpret_cast<char*>(&tag), sizeof(tag));
-  auto loaded = HnswIndex::Load(stream);
-  ASSERT_TRUE(loaded.ok());
-  auto probe = RandomUnit(8, &rng);
-  loaded.value().Add(999, probe);
-  auto hits = loaded.value().Search(probe, 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].first, 999u);
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,15 +31,9 @@ namespace {
 using testutil::Corpus;
 using testutil::MakeCorpus;
 using testutil::RandomVec;
+using testutil::ReadAll;
 using testutil::RecallAtK;
 using testutil::TempFile;
-
-std::string ReadAll(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
-}
 
 // Every versioned format in this repo is `u32 magic, u32 version, ...`.
 uint32_t FileVersion(const std::string& path) {
@@ -137,7 +130,7 @@ Corpus Survivors(const Corpus& corpus, const ChurnScript& script) {
 
 // ------------------------------------------------------- LakeIndex churn
 
-TEST(MutableLakeTest, UnchurnedSavesWriteV4AndSealingMovesNoBytes) {
+TEST(MutableLakeTest, UnchurnedSavesWriteV5AndSealingMovesNoBytes) {
   const size_t dim = 8;
   Corpus corpus = MakeCorpus(20, dim, 21);
   {
@@ -148,7 +141,7 @@ TEST(MutableLakeTest, UnchurnedSavesWriteV4AndSealingMovesNoBytes) {
     sealed.Seal();
     ASSERT_TRUE(unsealed.Save(file.path()).ok());
     ASSERT_TRUE(sealed.Save(sealed_file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 4u);
+    EXPECT_EQ(FileVersion(file.path()), 5u);
     // Sealing alone is not churn: the bytes must not move.
     EXPECT_EQ(ReadAll(file.path()), ReadAll(sealed_file.path()));
   }
@@ -158,7 +151,7 @@ TEST(MutableLakeTest, UnchurnedSavesWriteV4AndSealingMovesNoBytes) {
     sq8.storage = Storage::kSq8;
     LakeIndex index = BuildLake(corpus, dim, sq8);
     ASSERT_TRUE(index.Save(file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 4u);
+    EXPECT_EQ(FileVersion(file.path()), 5u);
   }
 }
 
@@ -269,7 +262,7 @@ TEST(MutableLakeTest, CompactRestoresParityForFloat32AndSq8) {
   }
 }
 
-TEST(MutableLakeTest, ChurnedSaveWritesV4AndRoundTrips) {
+TEST(MutableLakeTest, ChurnedSaveWritesV5AndRoundTrips) {
   const size_t dim = 12;
   Corpus corpus = MakeCorpus(30, dim, 29);
   ChurnScript script = MakeChurnScript(dim, 30);
@@ -280,9 +273,9 @@ TEST(MutableLakeTest, ChurnedSaveWritesV4AndRoundTrips) {
     index.Seal();
     ApplyScript(&index, script);
 
-    TempFile file("mutable_churned_v4.lak2");
+    TempFile file("mutable_churned_v5.lak2");
     ASSERT_TRUE(index.Save(file.path()).ok());
-    EXPECT_EQ(FileVersion(file.path()), 4u);
+    EXPECT_EQ(FileVersion(file.path()), 5u);
 
     auto loaded = LakeIndex::Load(file.path());
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -314,16 +307,16 @@ TEST(MutableLakeTest, NewerOrTruncatedChurnFilesRejectedCleanly) {
   TempFile file("mutable_hostile.lak2");
   ASSERT_TRUE(index.Save(file.path()).ok());
 
-  // A version from the future (what a pre-v4 reader sees in a churned
-  // file, from the other side): clean ParseError naming the version.
-  PatchU32At(file.path(), 4, 5);
+  // A version from the future (what a v4 reader sees in this build's
+  // files, from the other side): clean ParseError naming the version.
+  PatchU32At(file.path(), 4, 6);
   auto newer = LakeIndex::Load(file.path());
   ASSERT_FALSE(newer.ok());
   EXPECT_EQ(newer.status().code(), StatusCode::kParseError);
   EXPECT_NE(newer.status().ToString().find("newer format version"),
             std::string::npos)
       << newer.status().ToString();
-  PatchU32At(file.path(), 4, 4);
+  PatchU32At(file.path(), 4, 5);
 
   const std::string bytes = ReadAll(file.path());
   for (size_t keep : {size_t{6}, size_t{30}, bytes.size() / 2,

@@ -261,60 +261,6 @@ TEST(Sq8KnnIndexTest, RecallAtTenAgainstFloatFlat) {
   }
 }
 
-TEST(Sq8KnnIndexTest, SaveLoadRoundTripsSearchResults) {
-  Rng rng(103);
-  const size_t dim = 17, n = 200;
-  KnnIndex index(dim, Metric::kCosine, Storage::kSq8);
-  for (size_t r = 0; r < n; ++r) index.Add(r * 3, RandomVec(&rng, dim));
-
-  std::stringstream buf;
-  ASSERT_TRUE(index.Save(buf).ok());
-  auto loaded = LoadVectorIndex(buf);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const auto* restored = dynamic_cast<const KnnIndex*>(loaded.value().get());
-  ASSERT_NE(restored, nullptr);
-  EXPECT_EQ(restored->storage(), Storage::kSq8);
-  EXPECT_EQ(restored->size(), n);
-
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto query = RandomVec(&rng, dim);
-    const auto a = index.Search(query, 10);
-    const auto b = loaded.value()->Search(query, 10);
-    // Same codes, same codec, same kernels: results are identical.
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].first, b[i].first);
-      EXPECT_EQ(a[i].second, b[i].second);
-    }
-  }
-}
-
-TEST(Sq8KnnIndexTest, AddAfterSearchKeepsRoundTripFaithful) {
-  // Rows added after the codec trained encode through the existing
-  // calibration; a save/load round trip must reproduce the same results
-  // (the persisted codec pins the calibration).
-  Rng rng(107);
-  const size_t dim = 12;
-  KnnIndex index(dim, Metric::kL2, Storage::kSq8);
-  for (size_t r = 0; r < 100; ++r) index.Add(r, RandomVec(&rng, dim));
-  (void)index.Search(RandomVec(&rng, dim), 5);  // trains the codec
-  for (size_t r = 100; r < 140; ++r) index.Add(r, RandomVec(&rng, dim));
-
-  std::stringstream buf;
-  ASSERT_TRUE(index.Save(buf).ok());
-  auto loaded = LoadVectorIndex(buf);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded.value()->size(), 140u);
-  const auto query = RandomVec(&rng, dim);
-  const auto a = index.Search(query, 20);
-  const auto b = loaded.value()->Search(query, 20);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].first, b[i].first);
-    EXPECT_EQ(a[i].second, b[i].second);
-  }
-}
-
 TEST(Sq8KnnIndexTest, MakeVectorIndexHonorsStorage) {
   IndexOptions options;
   options.storage = Storage::kSq8;

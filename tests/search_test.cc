@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <tuple>
 
 #include "lakebench/search_benchmarks.h"
@@ -207,43 +206,6 @@ TEST(VectorIndexTest, SearchBatchMatchesSerialForBothBackends) {
       EXPECT_EQ(parallel[q], index->Search(queries[q], 5));
     }
   }
-}
-
-TEST(VectorIndexTest, SaveLoadRoundTripBothBackends) {
-  Rng rng(15);
-  std::vector<std::vector<float>> corpus, queries;
-  for (size_t i = 0; i < 80; ++i) {
-    std::vector<float> v(6);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    corpus.push_back(v);
-  }
-  for (size_t q = 0; q < 5; ++q) {
-    std::vector<float> v(6);
-    for (auto& x : v) x = static_cast<float>(rng.Normal());
-    queries.push_back(v);
-  }
-  for (auto backend : {IndexBackend::kFlat, IndexBackend::kHnsw}) {
-    IndexOptions options;
-    options.backend = backend;
-    auto index = MakeVectorIndex(6, options);
-    for (size_t i = 0; i < corpus.size(); ++i) index->Add(i, corpus[i]);
-
-    std::stringstream stream;
-    ASSERT_TRUE(index->Save(stream).ok());
-    auto loaded = LoadVectorIndex(stream);
-    ASSERT_TRUE(loaded.ok());
-    EXPECT_EQ(loaded.value()->backend(), backend);
-    EXPECT_EQ(loaded.value()->size(), corpus.size());
-    EXPECT_EQ(loaded.value()->dim(), 6u);
-    for (const auto& q : queries) {
-      EXPECT_EQ(loaded.value()->Search(q, 10), index->Search(q, 10));
-    }
-  }
-}
-
-TEST(VectorIndexTest, LoadRejectsGarbageStream) {
-  std::stringstream stream("not an index at all");
-  EXPECT_FALSE(LoadVectorIndex(stream).ok());
 }
 
 // ------------------------------------------------------------ TableRanker

@@ -131,8 +131,8 @@ TEST(ShardedLakeIndexTest, ManifestRoundTripBothBackends) {
     for (size_t h = 0; h < index.num_tables(); ++h) {
       EXPECT_EQ(loaded.value().table_id(h), index.table_id(h));
     }
-    // Shard files rebuild each shard's index deterministically, so the
-    // loaded index answers queries identically — both backends.
+    // Shard files hold each shard's rows (and an HNSW shard's graph), so
+    // the loaded index answers queries identically — both backends.
     for (const auto& q : corpus.join_queries) {
       EXPECT_EQ(loaded.value().QueryJoinable(q, 5), index.QueryJoinable(q, 5));
     }

@@ -1,7 +1,7 @@
 // Shared helpers for the test suites: seeded random vector/table
-// generators, a temp-file RAII that also sweeps shard side files, and the
-// tie-aware recall@k used by the ANN acceptance bars. Header-only on
-// purpose — the test binaries are built one .cc at a time.
+// generators, a temp-file RAII that also sweeps shard side files, a whole-
+// file reader, and the tie-aware recall@k used by the ANN acceptance bars.
+// Header-only on purpose — the test binaries are built one .cc at a time.
 #ifndef TSFM_TESTS_TEST_UTIL_H_
 #define TSFM_TESTS_TEST_UTIL_H_
 
@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -88,6 +90,12 @@ class TempFile {
  private:
   std::string path_;
 };
+
+/// The bytes of the file at `path` (empty when it cannot be read).
+inline std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
 
 /// \brief Tie-aware recall@k: the fraction of `ranked`'s first k entries
 /// that appear anywhere in `gold`.
