@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "sketch/table_sketch.h"
 #include "util/string_util.h"
 
 namespace tsfm::baselines {
@@ -32,13 +33,8 @@ std::string SerializeColumns(const Table& table, size_t values_per_column) {
     if (c > 0) out += " ; ";
     out += table.column(c).name;
     out += " :";
-    std::unordered_set<std::string> seen;
-    size_t taken = 0;
-    for (const auto& cell : table.column(c).cells) {
-      if (taken >= values_per_column) break;
-      if (IsNullToken(cell) || !seen.insert(cell).second) continue;
+    for (const auto& cell : DistinctCells(table.column(c), values_per_column)) {
       out += " " + cell;
-      ++taken;
     }
   }
   return out;
@@ -71,18 +67,7 @@ std::string DeepJoinColumnText(const Table& table, size_t column,
 }
 
 std::string SbertColumnText(const Table& table, size_t column, size_t max_values) {
-  const Column& col = table.column(column);
-  std::string out;
-  std::unordered_set<std::string> seen;
-  size_t taken = 0;
-  for (const auto& cell : col.cells) {
-    if (taken >= max_values) break;
-    if (IsNullToken(cell) || !seen.insert(cell).second) continue;
-    if (!out.empty()) out += " ";
-    out += cell;
-    ++taken;
-  }
-  return out;
+  return Join(DistinctCells(table.column(column), max_values), " ");
 }
 
 }  // namespace tsfm::baselines

@@ -99,7 +99,7 @@ D3lUnionSearch::D3lUnionSearch(const lakebench::SearchBenchmark* bench,
       f.values = MinHashOfSet(DistinctCells(col), 32);
       f.semantics = encoder->EmbedColumn(table, c);
       f.header_tokens = text::BasicTokenize(col.name);
-      NumericalSketch ns = MakeNumericalSketch(col);
+      NumericalSketch ns = MakeNumericalSketch(ComputeColumnStats(col));
       f.numeric_profile.assign(ns.values.begin() + 3, ns.values.end());
       f.avg_width = ns.values[2];
       f.type = static_cast<int>(col.type);

@@ -25,26 +25,19 @@ std::vector<std::vector<size_t>> RunSearch(const lakebench::SearchBenchmark& ben
   }
   TSFM_CHECK_GT(dim, 0u);
 
-  // Split the query mix into join (single-column) and union/subset
-  // (multi-column) batches, answer each batch in parallel, then stitch the
-  // results back into query order.
-  std::vector<std::vector<float>> join_queries;
-  std::vector<size_t> join_excludes, join_slots;
-  std::vector<std::vector<std::vector<float>>> union_queries;
-  std::vector<size_t> union_excludes, union_slots;
-  for (size_t q = 0; q < bench.queries.size(); ++q) {
-    const auto& query = bench.queries[q];
+  // A join query (column_index >= 0) is the one-column query of its
+  // column; every query rides one batch.
+  std::vector<std::vector<std::vector<float>>> queries;
+  std::vector<size_t> excludes;
+  for (const auto& query : bench.queries) {
     const auto& qcols = all_columns[query.table_index];
     if (query.column_index >= 0) {
       TSFM_CHECK_LT(static_cast<size_t>(query.column_index), qcols.size());
-      join_queries.push_back(qcols[static_cast<size_t>(query.column_index)]);
-      join_excludes.push_back(query.table_index);
-      join_slots.push_back(q);
+      queries.push_back({qcols[static_cast<size_t>(query.column_index)]});
     } else {
-      union_queries.push_back(qcols);
-      union_excludes.push_back(query.table_index);
-      union_slots.push_back(q);
+      queries.push_back(qcols);
     }
+    excludes.push_back(query.table_index);
   }
 
   size_t threads = options.num_threads != 0
@@ -52,24 +45,13 @@ std::vector<std::vector<size_t>> RunSearch(const lakebench::SearchBenchmark& ben
                        : std::max(1u, std::thread::hardware_concurrency());
   ThreadPool pool(threads);
 
-  std::vector<std::vector<size_t>> ranked(bench.queries.size());
   // Table handles are assigned in insertion order, so the global handle
   // of table t is t and the exclude ids carry over.
   ShardedLakeIndex lake(dim, options.shards, options.index);
   for (size_t t = 0; t < bench.tables.size(); ++t) {
     lake.AddTable(std::to_string(t), all_columns[t]);
   }
-  auto join_ranked =
-      lake.RankJoinableBatch(join_queries, k, join_excludes, &pool);
-  auto union_ranked =
-      lake.RankUnionableBatch(union_queries, k, union_excludes, &pool);
-  for (size_t i = 0; i < join_slots.size(); ++i) {
-    ranked[join_slots[i]] = std::move(join_ranked[i]);
-  }
-  for (size_t i = 0; i < union_slots.size(); ++i) {
-    ranked[union_slots[i]] = std::move(union_ranked[i]);
-  }
-  return ranked;
+  return lake.RankUnionableBatch(queries, k, excludes, &pool);
 }
 
 SearchReport EvaluateEmbeddingSearch(const lakebench::SearchBenchmark& bench,

@@ -29,9 +29,9 @@ struct SearchRunOptions {
 
 /// \brief Runs a full search evaluation for one embedding method.
 ///
-/// For join queries (column_index >= 0) tables are ranked by nearest column
-/// to the query column; for union/subset queries the Fig 6 multi-column
-/// ranking is used. All queries are answered through the batch ranking API,
+/// Every query is ranked by the Fig 6 multi-column ranking; a join query
+/// (column_index >= 0) is the one-column query of its column, so tables
+/// rank by their nearest column. All queries ride one batch ranking call,
 /// fanned out over a ThreadPool. Returns ranked lists, one per query.
 std::vector<std::vector<size_t>> RunSearch(const lakebench::SearchBenchmark& bench,
                                            const ColumnEmbedFn& embed, size_t k,

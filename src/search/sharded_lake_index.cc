@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <numeric>
 #include <optional>
 
 #include "search/table_ranker.h"
@@ -156,7 +157,7 @@ Result<std::vector<ColumnHits>> LakeCoordinator::SearchColumnHitsBatch(
 
 Result<std::vector<std::vector<size_t>>> LakeCoordinator::Rank(
     const std::vector<std::vector<float>>& columns,
-    const std::vector<size_t>* offset, size_t k,
+    const std::vector<size_t>& offset, size_t k,
     const std::vector<size_t>& excludes, ThreadPool* pool,
     std::vector<std::vector<std::string>>* ids) const {
   // One epoch from scatter to id gather: a concurrent compaction swaps the
@@ -167,19 +168,13 @@ Result<std::vector<std::vector<size_t>>> LakeCoordinator::Rank(
   const size_t m = k > SIZE_MAX / 3 ? SIZE_MAX : k * 3;
   auto hits = SearchColumnHitsBatchLocked(columns, m, pool);
   if (!hits.ok()) return hits.status();
-  const size_t num_queries =
-      offset != nullptr ? offset->size() - 1 : columns.size();
+  const size_t num_queries = offset.size() - 1;
   std::vector<std::vector<size_t>> ranked(num_queries);
   for (size_t q = 0; q < num_queries; ++q) {
     const size_t exclude = q < excludes.size() ? excludes[q] : SIZE_MAX;
-    if (offset == nullptr) {
-      ranked[q] =
-          TableRanker::RankFromSingleColumnHits(hits.value()[q], exclude);
-      continue;
-    }
     const std::vector<ColumnHits> per_column(
-        std::make_move_iterator(hits.value().begin() + (*offset)[q]),
-        std::make_move_iterator(hits.value().begin() + (*offset)[q + 1]));
+        std::make_move_iterator(hits.value().begin() + offset[q]),
+        std::make_move_iterator(hits.value().begin() + offset[q + 1]));
     ranked[q] = TableRanker::RankFromColumnHits(per_column, exclude);
   }
   if (ids != nullptr) {
@@ -195,8 +190,11 @@ Result<std::vector<std::vector<std::string>>>
 LakeCoordinator::QueryJoinableBatch(
     const std::vector<std::vector<float>>& query_columns, size_t k,
     ThreadPool* pool) const {
+  // Query q is the one-column query [q, q + 1).
+  std::vector<size_t> offset(query_columns.size() + 1);
+  std::iota(offset.begin(), offset.end(), 0);
   std::vector<std::vector<std::string>> ids;
-  auto ranked = Rank(query_columns, nullptr, k, /*excludes=*/{}, pool, &ids);
+  auto ranked = Rank(query_columns, offset, k, /*excludes=*/{}, pool, &ids);
   if (!ranked.ok()) return ranked.status();
   return ids;
 }
@@ -208,7 +206,7 @@ LakeCoordinator::QueryUnionableBatch(
   std::vector<size_t> offset;
   const auto flat = Flatten(queries, &offset);
   std::vector<std::vector<std::string>> ids;
-  auto ranked = Rank(flat, &offset, k, /*excludes=*/{}, pool, &ids);
+  auto ranked = Rank(flat, offset, k, /*excludes=*/{}, pool, &ids);
   if (!ranked.ok()) return ranked.status();
   return ids;
 }
@@ -498,13 +496,7 @@ std::vector<std::vector<size_t>> ShardedLakeIndex::RankUnionableBatch(
     const std::vector<size_t>& excludes, ThreadPool* pool) const {
   std::vector<size_t> offset;
   const auto flat = Flatten(queries, &offset);
-  return Must(Rank(flat, &offset, k, excludes, pool, /*ids=*/nullptr));
-}
-
-std::vector<std::vector<size_t>> ShardedLakeIndex::RankJoinableBatch(
-    const std::vector<std::vector<float>>& query_columns, size_t k,
-    const std::vector<size_t>& excludes, ThreadPool* pool) const {
-  return Must(Rank(query_columns, nullptr, k, excludes, pool, /*ids=*/nullptr));
+  return Must(Rank(flat, offset, k, excludes, pool, /*ids=*/nullptr));
 }
 
 ShardedLakeIndex ShardedLakeIndex::FromSingle(LakeIndex&& shard) {

@@ -192,14 +192,13 @@ class LakeCoordinator {
 
   /// \brief Handle-level Fig 6 ranking of a batch in one scatter.
   ///
-  /// Query q owns columns [(*offset)[q], (*offset)[q + 1]) of `columns`,
-  /// or just column q when `offset` is null (a join batch, ranked by its
-  /// single column). `excludes[q]` is dropped from query q's ranking
-  /// (empty = none). When `ids` is given the ranked handles are mapped to
-  /// at most `k` ids each in the same epoch.
+  /// Query q owns columns [offset[q], offset[q + 1]) of `columns`; a join
+  /// query is a one-column query. `excludes[q]` is dropped from query q's
+  /// ranking (empty = none). When `ids` is given the ranked handles are
+  /// mapped to at most `k` ids each in the same epoch.
   Result<std::vector<std::vector<size_t>>> Rank(
       const std::vector<std::vector<float>>& columns,
-      const std::vector<size_t>* offset, size_t k,
+      const std::vector<size_t>& offset, size_t k,
       const std::vector<size_t>& excludes, ThreadPool* pool,
       std::vector<std::vector<std::string>>* ids) const LAKS_EXCLUDES(mu_);
 
@@ -285,18 +284,14 @@ class ShardedLakeIndex : public LakeCoordinator {
       const std::vector<std::vector<float>>& queries, size_t m,
       ThreadPool* pool = nullptr) const;
 
-  /// \brief Handle-level union/subset ranking with exclude handles.
+  /// \brief Handle-level ranking with exclude handles.
   ///
   /// Returns global table handles instead of ids and drops `excludes[q]`
   /// from query q (empty = none) — the entry point RunSearch uses, where
-  /// the query table itself is part of the corpus.
+  /// the query table itself is part of the corpus. A join query is a
+  /// one-column query.
   std::vector<std::vector<size_t>> RankUnionableBatch(
       const std::vector<std::vector<std::vector<float>>>& queries, size_t k,
-      const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
-
-  /// Handle-level join ranking; `excludes` pairs with `query_columns`.
-  std::vector<std::vector<size_t>> RankJoinableBatch(
-      const std::vector<std::vector<float>>& query_columns, size_t k,
       const std::vector<size_t>& excludes, ThreadPool* pool = nullptr) const;
 
   /// \brief Wraps an already-built single LakeIndex as a 1-shard index.

@@ -163,25 +163,4 @@ std::vector<size_t> TableRanker::RankFromColumnHits(
   return ranked;
 }
 
-std::vector<size_t> TableRanker::RankFromSingleColumnHits(
-    const std::vector<ColumnEmbeddingIndex::ColumnHit>& hits, size_t exclude) {
-  std::unordered_map<size_t, float> near_tables;
-  for (const auto& hit : hits) {
-    if (hit.table_id == exclude) continue;
-    auto it = near_tables.find(hit.table_id);
-    if (it == near_tables.end() || hit.distance < it->second) {
-      near_tables[hit.table_id] = hit.distance;
-    }
-  }
-  std::vector<std::pair<size_t, float>> order(near_tables.begin(), near_tables.end());
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) return a.second < b.second;
-    return a.first < b.first;
-  });
-  std::vector<size_t> ranked;
-  ranked.reserve(order.size());
-  for (const auto& [table, dist] : order) ranked.push_back(table);
-  return ranked;
-}
-
 }  // namespace tsfm::search

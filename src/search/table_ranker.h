@@ -114,16 +114,13 @@ class TableRanker {
   /// `per_column_hits[c]` holds the candidate columns retrieved for query
   /// column c (COLUMNNEARTABLES input). Tables are ranked by number of
   /// matched query columns (descending), then by summed min distance
-  /// (ascending), then by table id. `exclude` is dropped.
+  /// (ascending), then by table id. `exclude` is dropped. A join is the
+  /// one-column case: every table matches one column, so tables rank by
+  /// their closest column, ties broken by table id.
   static std::vector<size_t> RankFromColumnHits(
       const std::vector<std::vector<ColumnEmbeddingIndex::ColumnHit>>&
           per_column_hits,
       size_t exclude);
-
-  /// Join variant of RankFromColumnHits: tables ranked by their closest
-  /// column among `hits`, ties broken by table id.
-  static std::vector<size_t> RankFromSingleColumnHits(
-      const std::vector<ColumnEmbeddingIndex::ColumnHit>& hits, size_t exclude);
 };
 
 }  // namespace tsfm::search

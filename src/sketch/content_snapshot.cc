@@ -4,9 +4,9 @@
 
 namespace tsfm {
 
-MinHash MakeContentSnapshot(const Table& table, size_t num_perm, size_t max_rows) {
+MinHash MakeContentSnapshot(const Table& table, size_t num_perm) {
   MinHash mh(num_perm);
-  const size_t rows = std::min(table.num_rows(), max_rows);
+  const size_t rows = std::min(table.num_rows(), kSnapshotRows);
   for (size_t r = 0; r < rows; ++r) {
     mh.Update(table.RowString(r));
   }

@@ -1,5 +1,6 @@
 // The paper's table-level content snapshot (Sec III-A): a MinHash over the
-// set of row-strings of the first N rows.
+// set of row-strings of the first rows. The paper folds in 10,000 rows;
+// every sketch here folds in kSnapshotRows.
 #ifndef TSFM_SKETCH_CONTENT_SNAPSHOT_H_
 #define TSFM_SKETCH_CONTENT_SNAPSHOT_H_
 
@@ -8,13 +9,13 @@
 
 namespace tsfm {
 
-/// Default row budget, matching the paper's "first 10000 rows".
-inline constexpr size_t kContentSnapshotRows = 10000;
+/// Rows folded into a content snapshot.
+inline constexpr size_t kSnapshotRows = 256;
 
 /// Builds the content snapshot MinHash of `table`: each of the first
-/// `max_rows` rows is rendered as one string and folded into the signature.
-MinHash MakeContentSnapshot(const Table& table, size_t num_perm = 32,
-                            size_t max_rows = kContentSnapshotRows);
+/// kSnapshotRows rows is rendered as one string and folded into the
+/// signature.
+MinHash MakeContentSnapshot(const Table& table, size_t num_perm = 32);
 
 }  // namespace tsfm
 

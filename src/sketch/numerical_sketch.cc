@@ -14,8 +14,7 @@ float CompressStat(double v) {
   return static_cast<float>(s * std::log1p(std::fabs(v)));
 }
 
-NumericalSketch MakeNumericalSketch(const Column& column) {
-  ColumnStats stats = ComputeColumnStats(column);
+NumericalSketch MakeNumericalSketch(const ColumnStats& stats) {
   NumericalSketch sketch;
   sketch.values[0] = CompressStat(stats.unique_fraction);
   sketch.values[1] = CompressStat(stats.nan_fraction);

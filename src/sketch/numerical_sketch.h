@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "table/stats.h"
-#include "table/table.h"
 
 namespace tsfm {
 
@@ -30,8 +29,9 @@ struct NumericalSketch {
   }
 };
 
-/// Builds the numerical sketch of `column` from its statistics.
-NumericalSketch MakeNumericalSketch(const Column& column);
+/// Builds a column's numerical sketch from its statistics
+/// (ComputeColumnStats, or ProfileColumn's `stats`).
+NumericalSketch MakeNumericalSketch(const ColumnStats& stats);
 
 /// \brief Squashes unbounded numeric stats into a stable range.
 ///

@@ -1,9 +1,8 @@
 #include "sketch/table_sketch.h"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "util/hash.h"
-#include "util/string_util.h"
 
 namespace tsfm {
 
@@ -46,55 +45,31 @@ std::vector<float> ColumnSketch::OneBitMinHashInput() const {
 }
 
 std::vector<std::string> DistinctCells(const Column& column, size_t max_cells) {
-  std::unordered_set<std::string> seen;
-  std::vector<std::string> out;
-  for (const auto& cell : column.cells) {
-    if (out.size() >= max_cells) break;
-    if (IsNullToken(cell)) continue;
-    if (seen.insert(cell).second) out.push_back(cell);
-  }
-  return out;
-}
-
-std::vector<std::string> DistinctWords(const Column& column, size_t max_cells) {
-  std::unordered_set<std::string> seen;
-  std::vector<std::string> out;
-  size_t budget = max_cells;
-  for (const auto& cell : column.cells) {
-    if (budget == 0) break;
-    --budget;
-    if (IsNullToken(cell)) continue;
-    for (const auto& word : SplitWhitespace(cell)) {
-      std::string lower = ToLower(word);
-      if (seen.insert(lower).second) out.push_back(std::move(lower));
-    }
-  }
-  return out;
+  std::vector<std::string_view> distinct = ProfileColumn(column).distinct;
+  distinct.resize(std::min(max_cells, distinct.size()));
+  return {distinct.begin(), distinct.end()};
 }
 
 TableSketch BuildTableSketch(const Table& table, const SketchOptions& options) {
   TableSketch sketch;
   sketch.table_id = table.id();
   sketch.description = table.description();
-  sketch.content_snapshot =
-      MakeContentSnapshot(table, options.num_perm, options.snapshot_rows);
+  sketch.content_snapshot = MakeContentSnapshot(table, options.num_perm);
 
   sketch.columns.reserve(table.num_columns());
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    const Column& col = table.column(c);
-    ColumnSketch cs;
+  for (const Column& col : table.columns()) {
+    // A MinHash slot is a minimum, so the order in which cells and words
+    // are folded in never changes a signature; only the sets do.
+    const ColumnProfile profile = ProfileColumn(col);
+    ColumnSketch& cs = sketch.columns.emplace_back();
     cs.name = col.name;
     cs.type = col.type;
-    cs.cell_minhash = MinHashOfSet(DistinctCells(col, options.max_cells),
-                                   options.num_perm);
-    if (col.type == ColumnType::kString) {
-      cs.word_minhash = MinHashOfSet(DistinctWords(col, options.max_cells),
-                                     options.num_perm);
-    } else {
-      cs.word_minhash = MinHash(options.num_perm);
-    }
-    cs.numerical = MakeNumericalSketch(col);
-    sketch.columns.push_back(std::move(cs));
+    cs.cell_minhash = MinHash(options.num_perm);
+    const size_t cells = std::min(profile.distinct.size(), kSketchCells);
+    for (size_t i = 0; i < cells; ++i) cs.cell_minhash.Update(profile.distinct[i]);
+    cs.word_minhash = MinHash(options.num_perm);
+    for (const std::string& word : profile.words) cs.word_minhash.Update(word);
+    cs.numerical = MakeNumericalSketch(profile.stats);
   }
   return sketch;
 }

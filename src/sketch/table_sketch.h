@@ -10,15 +10,15 @@
 #include "sketch/content_snapshot.h"
 #include "sketch/minhash.h"
 #include "sketch/numerical_sketch.h"
+#include "table/stats.h"
 #include "table/table.h"
 
 namespace tsfm {
 
-/// Sketch-building knobs.
+/// Sketch-building knobs. The row and cell budgets are constants:
+/// kSnapshotRows (content_snapshot.h) and kSketchCells (table/stats.h).
 struct SketchOptions {
-  size_t num_perm = 32;            ///< MinHash slots per signature
-  size_t snapshot_rows = 256;      ///< rows folded into the content snapshot
-  size_t max_cells = 10000;        ///< cell budget per column MinHash
+  size_t num_perm = 32;  ///< MinHash slots per signature
 };
 
 /// \brief Sketches of one column.
@@ -56,15 +56,15 @@ struct TableSketch {
   TableSketch() : content_snapshot(0) {}
 };
 
-/// Builds every sketch for `table`. Types must already be inferred (or call
+/// Builds every sketch for `table`, from one walk per column
+/// (ProfileColumn). Types must already be inferred (or call
 /// table.InferTypes() first); this function does not mutate the table.
 TableSketch BuildTableSketch(const Table& table, const SketchOptions& options = {});
 
-/// Extracts the distinct non-null cell values of a column (bounded).
-std::vector<std::string> DistinctCells(const Column& column, size_t max_cells = 10000);
-
-/// Extracts the distinct lower-cased words across a column's cells.
-std::vector<std::string> DistinctWords(const Column& column, size_t max_cells = 10000);
+/// The first `max_cells` distinct non-null cells of a column, in first-seen
+/// order (the default is the cell MinHash's set).
+std::vector<std::string> DistinctCells(const Column& column,
+                                       size_t max_cells = kSketchCells);
 
 }  // namespace tsfm
 

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <optional>
+#include <unordered_map>
+
+#include "util/string_util.h"
 
 namespace tsfm {
 
@@ -16,33 +19,45 @@ double Percentile(const std::vector<double>& sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
-ColumnStats ComputeColumnStats(const Column& column) {
-  ColumnStats stats;
+ColumnProfile ProfileColumn(const Column& column) {
+  ColumnProfile profile;
+  ColumnStats& stats = profile.stats;
   const size_t rows = column.cells.size();
-  if (rows == 0) return stats;
+  if (rows == 0) return profile;
 
-  std::unordered_set<std::string> uniques;
+  // Distinct cell -> its parsed value (numeric and date columns).
+  std::unordered_map<std::string_view, std::optional<double>> seen;
+  seen.reserve(rows);
   size_t nulls = 0;
-  size_t non_null = 0;
   double width_sum = 0.0;
   std::vector<double> numeric;
   numeric.reserve(rows);
 
-  for (const auto& cell : column.cells) {
+  for (size_t r = 0; r < rows; ++r) {
+    const std::string& cell = column.cells[r];
     if (IsNullToken(cell)) {
       ++nulls;
       continue;
     }
-    ++non_null;
-    uniques.insert(cell);
     width_sum += static_cast<double>(cell.size());
-    if (column.type != ColumnType::kString) {
-      auto v = NumericValue(cell, column.type);
-      if (v) numeric.push_back(*v);
+    auto [it, first_seen] = seen.try_emplace(cell);
+    if (first_seen) {
+      profile.distinct.push_back(cell);
+      if (column.type != ColumnType::kString) {
+        it->second = NumericValue(cell, column.type);
+      } else if (r < kSketchCells) {
+        // A repeated cell adds no new word.
+        for (std::string& word : SplitWhitespace(ToLower(cell))) {
+          profile.words.insert(std::move(word));
+        }
+      }
     }
+    if (it->second) numeric.push_back(*it->second);
   }
 
-  stats.unique_fraction = static_cast<double>(uniques.size()) / static_cast<double>(rows);
+  const size_t non_null = rows - nulls;
+  stats.unique_fraction =
+      static_cast<double>(profile.distinct.size()) / static_cast<double>(rows);
   stats.nan_fraction = static_cast<double>(nulls) / static_cast<double>(rows);
   stats.avg_cell_width = non_null > 0 ? width_sum / static_cast<double>(non_null) : 0.0;
 
@@ -61,7 +76,11 @@ ColumnStats ComputeColumnStats(const Column& column) {
     stats.min = numeric.front();
     stats.max = numeric.back();
   }
-  return stats;
+  return profile;
+}
+
+ColumnStats ComputeColumnStats(const Column& column) {
+  return ProfileColumn(column).stats;
 }
 
 }  // namespace tsfm

@@ -131,13 +131,13 @@ std::optional<int64_t> ParseDateToDays(std::string_view s) {
 bool IsNullToken(std::string_view s) {
   s = Trim(s);
   if (s.empty()) return true;
+  if (s.size() > 4) return false;  // longer than every token: no copy
   std::string lower = ToLower(s);
   return lower == "na" || lower == "nan" || lower == "null" || lower == "none" ||
          lower == "n/a" || lower == "-";
 }
 
 std::optional<double> NumericValue(std::string_view cell, ColumnType type) {
-  if (IsNullToken(cell)) return std::nullopt;
   switch (type) {
     case ColumnType::kInteger: {
       auto v = ParseInt(cell);

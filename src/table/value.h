@@ -40,14 +40,15 @@ std::optional<double> ParseFloat(std::string_view s);
 std::optional<int64_t> ParseDateToDays(std::string_view s);
 
 /// True when the cell should be treated as missing (empty, "na", "nan",
-/// "null", "none", "-", case-insensitive).
+/// "null", "none", "n/a", "-", case-insensitive, surrounding whitespace
+/// ignored).
 bool IsNullToken(std::string_view s);
 
 /// \brief Numeric view of a cell under a column type.
 ///
 /// Returns the value used by numerical sketches: the parsed number for
 /// int/float columns, days-since-epoch for dates, and std::nullopt for
-/// strings or unparseable cells.
+/// strings or unparseable cells (no null token parses).
 std::optional<double> NumericValue(std::string_view cell, ColumnType type);
 
 }  // namespace tsfm

@@ -241,7 +241,7 @@ TEST(TableRankerTest, ExcludesQueryTable) {
 
 TEST(TableRankerTest, ColumnModeRanksByNearestColumn) {
   const auto lake = OneShardLake(2, {{{1, 0}, {0, 1}}, {{0.6f, 0.8f}}});
-  auto ranked = lake.RankJoinableBatch({{1, 0}}, 5, {99})[0];
+  auto ranked = lake.RankUnionableBatch({{{1, 0}}}, 5, {99})[0];
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], 0u);
 }
@@ -258,27 +258,27 @@ TEST(TableRankerTest, BatchRankingMatchesSerial) {
   }
   const auto lake = OneShardLake(4, tables);
   std::vector<std::vector<std::vector<float>>> union_queries;
-  std::vector<std::vector<float>> join_queries;
+  std::vector<std::vector<std::vector<float>>> join_queries;
   std::vector<size_t> excludes;
   for (size_t q = 0; q < 6; ++q) {
     std::vector<std::vector<float>> cols(2, std::vector<float>(4));
     for (auto& col : cols) {
       for (auto& x : col) x = static_cast<float>(rng.Normal());
     }
-    join_queries.push_back(cols[0]);
+    join_queries.push_back({cols[0]});
     union_queries.push_back(cols);
     excludes.push_back(q);
   }
   ThreadPool pool(3);
   auto union_batch = lake.RankUnionableBatch(union_queries, 5, excludes, &pool);
-  auto join_batch = lake.RankJoinableBatch(join_queries, 5, excludes, &pool);
+  auto join_batch = lake.RankUnionableBatch(join_queries, 5, excludes, &pool);
   ASSERT_EQ(union_batch.size(), 6u);
   ASSERT_EQ(join_batch.size(), 6u);
   for (size_t q = 0; q < 6; ++q) {
     EXPECT_EQ(union_batch[q],
               lake.RankUnionableBatch({union_queries[q]}, 5, {excludes[q]})[0]);
     EXPECT_EQ(join_batch[q],
-              lake.RankJoinableBatch({join_queries[q]}, 5, {excludes[q]})[0]);
+              lake.RankUnionableBatch({join_queries[q]}, 5, {excludes[q]})[0]);
   }
 }
 
@@ -287,7 +287,7 @@ TEST(TableRankerTest, HnswBackedIndexRanksLikeFlatOnSeparatedData) {
   IndexOptions options;
   options.backend = IndexBackend::kHnsw;
   const auto lake = OneShardLake(2, {{{1, 0}}, {{0, 1}}}, options);
-  auto ranked = lake.RankJoinableBatch({{0.9f, 0.1f}}, 5, {SIZE_MAX})[0];
+  auto ranked = lake.RankUnionableBatch({{{0.9f, 0.1f}}}, 5, {SIZE_MAX})[0];
   ASSERT_EQ(ranked.size(), 2u);
   EXPECT_EQ(ranked[0], 0u);
 }
@@ -426,16 +426,15 @@ TEST(PipelineTest, RunSearchMatchesExactOracle) {
     std::vector<std::vector<size_t>> oracle;
     for (const auto& query : bench.queries) {
       const auto& qcols = embs[query.table_index];
+      std::vector<Hits> per_column;
       if (query.column_index >= 0) {
-        oracle.push_back(TableRanker::RankFromSingleColumnHits(
-            top_hits(qcols[static_cast<size_t>(query.column_index)], metric),
-            query.table_index));
+        per_column.push_back(top_hits(
+            qcols[static_cast<size_t>(query.column_index)], metric));
       } else {
-        std::vector<Hits> per_column;
         for (const auto& col : qcols) per_column.push_back(top_hits(col, metric));
-        oracle.push_back(
-            TableRanker::RankFromColumnHits(per_column, query.table_index));
       }
+      oracle.push_back(
+          TableRanker::RankFromColumnHits(per_column, query.table_index));
     }
     for (size_t shards : {size_t{1}, size_t{2}, size_t{4}}) {
       SearchRunOptions run;

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cfloat>
 #include <cmath>
 #include <limits>
+#include <unordered_set>
 
+#include "lakebench/search_benchmarks.h"
 #include "sketch/content_snapshot.h"
 #include "sketch/minhash.h"
 #include "sketch/minhash_lsh.h"
 #include "sketch/numerical_sketch.h"
 #include "sketch/simhash.h"
 #include "sketch/table_sketch.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace tsfm {
@@ -123,7 +129,7 @@ TEST(NumericalSketchTest, LayoutMatchesPaper) {
   col.name = "x";
   col.type = ColumnType::kInteger;
   col.cells = {"10", "20", "30", "40"};
-  NumericalSketch s = MakeNumericalSketch(col);
+  NumericalSketch s = MakeNumericalSketch(ComputeColumnStats(col));
   // Slot 0: unique fraction = 1.0 compressed.
   EXPECT_FLOAT_EQ(s.values[0], CompressStat(1.0));
   // Slot 14/15: min/max.
@@ -140,7 +146,7 @@ TEST(NumericalSketchTest, StringColumnHasZeroNumericSlots) {
   col.name = "s";
   col.type = ColumnType::kString;
   col.cells = {"abc", "de"};
-  NumericalSketch s = MakeNumericalSketch(col);
+  NumericalSketch s = MakeNumericalSketch(ComputeColumnStats(col));
   for (int i = 3; i < 16; ++i) EXPECT_FLOAT_EQ(s.values[i], 0.0f);
   EXPECT_GT(s.values[2], 0.0f);  // width populated
 }
@@ -153,8 +159,8 @@ TEST(NumericalSketchTest, DistinguishesShiftedDistributions) {
     a.cells.push_back(std::to_string(rng.Normal(100, 10)));
     b.cells.push_back(std::to_string(rng.Normal(500, 10)));
   }
-  NumericalSketch sa = MakeNumericalSketch(a);
-  NumericalSketch sb = MakeNumericalSketch(b);
+  NumericalSketch sa = MakeNumericalSketch(ComputeColumnStats(a));
+  NumericalSketch sb = MakeNumericalSketch(ComputeColumnStats(b));
   EXPECT_GT(std::fabs(sa.values[12] - sb.values[12]), 0.5f);  // means differ
 }
 
@@ -227,12 +233,304 @@ TEST(TableSketchTest, DistinctCellsSkipsNullsAndDupes) {
   EXPECT_EQ(cells.size(), 2u);
 }
 
-TEST(TableSketchTest, DistinctWordsLowercasesAndSplits) {
+TEST(TableSketchTest, DistinctCellsKeepFirstSeenOrderUpToTheCount) {
+  Column col;
+  col.cells = {"b", " NA ", "a", "b", "c"};
+  EXPECT_EQ(DistinctCells(col, 2), (std::vector<std::string>{"b", "a"}));
+  EXPECT_EQ(DistinctCells(col), (std::vector<std::string>{"b", "a", "c"}));
+}
+
+TEST(TableSketchTest, ProfileWordsLowercaseAndSplit) {
   Column col;
   col.cells = {"New York", "new jersey"};
-  auto words = DistinctWords(col);
-  // {new, york, jersey}
-  EXPECT_EQ(words.size(), 3u);
+  EXPECT_EQ(ProfileColumn(col).words,
+            (std::unordered_set<std::string>{"new", "york", "jersey"}));
+}
+
+// ----------------------------------------------------------- Sketch bytes
+// Pins every field BuildTableSketch writes. The integer fields (ids, names,
+// types, MinHash slots and empty flags, the content snapshot) fold into one
+// recorded digest. The 16 numerical floats are compared by bit pattern with
+// the formulas below, which transcribe the column statistics as they stood
+// when the digest was recorded: a compiler that contracts multiply-adds
+// (GCC on arm64) changes the low bits of both sides alike, so the floats
+// are checked on every target while the digest stays portable.
+
+float ReferenceCompress(double v) {
+  if (std::isnan(v)) return 0.0f;
+  if (std::isinf(v)) v = v < 0 ? -DBL_MAX : DBL_MAX;
+  double s = v < 0 ? -1.0 : 1.0;
+  return static_cast<float>(s * std::log1p(std::fabs(v)));
+}
+
+double ReferencePercentile(const std::vector<double>& sorted, double q) {
+  if (sorted.size() == 1) return sorted[0];
+  double pos = q * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(pos);
+  size_t hi = std::min(lo + 1, sorted.size() - 1);
+  double frac = pos - static_cast<double>(lo);
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+}
+
+std::array<float, kNumericalSketchDim> ReferenceNumerical(const Column& column) {
+  std::array<float, kNumericalSketchDim> out = {};
+  const size_t rows = column.cells.size();
+  if (rows == 0) return out;
+  std::unordered_set<std::string> uniques;
+  size_t nulls = 0;
+  size_t non_null = 0;
+  double width_sum = 0.0;
+  std::vector<double> numeric;
+  for (const auto& cell : column.cells) {
+    if (IsNullToken(cell)) {
+      ++nulls;
+      continue;
+    }
+    ++non_null;
+    uniques.insert(cell);
+    width_sum += static_cast<double>(cell.size());
+    if (column.type != ColumnType::kString) {
+      auto v = NumericValue(cell, column.type);
+      if (v) numeric.push_back(*v);
+    }
+  }
+  out[0] = ReferenceCompress(static_cast<double>(uniques.size()) /
+                             static_cast<double>(rows));
+  out[1] = ReferenceCompress(static_cast<double>(nulls) / static_cast<double>(rows));
+  out[2] = ReferenceCompress(
+      non_null > 0 ? width_sum / static_cast<double>(non_null) : 0.0);
+  if (numeric.empty()) return out;
+  std::sort(numeric.begin(), numeric.end());
+  for (int i = 0; i < 9; ++i) {
+    out[3 + i] = ReferenceCompress(ReferencePercentile(numeric, 0.1 * (i + 1)));
+  }
+  double sum = 0.0;
+  for (double v : numeric) sum += v;
+  const double mean = sum / static_cast<double>(numeric.size());
+  double var = 0.0;
+  for (double v : numeric) var += (v - mean) * (v - mean);
+  out[12] = ReferenceCompress(mean);
+  out[13] = ReferenceCompress(std::sqrt(var / static_cast<double>(numeric.size())));
+  out[14] = ReferenceCompress(numeric.front());
+  out[15] = ReferenceCompress(numeric.back());
+  return out;
+}
+
+Column TypedColumn(std::string name, ColumnType type, std::vector<std::string> cells) {
+  Column col;
+  col.name = std::move(name);
+  col.type = type;
+  col.cells = std::move(cells);
+  return col;
+}
+
+// The first of stem0, stem1, ... that lowers some slot of the MinHash over
+// `before` (slot i hashes alike at every num_perm, so 16 slots cover 32).
+std::string SlotWinner(const std::vector<std::string>& before, const std::string& stem) {
+  const MinHash base = MinHashOfSet(before, 16);
+  for (size_t j = 0;; ++j) {
+    MinHash with = base;
+    with.Update(stem + std::to_string(j));
+    if (with.signature() != base.signature()) return stem + std::to_string(j);
+  }
+}
+
+// Lakebench union and join tables (types inferred, as a query's are) plus
+// edge tables with explicit types.
+std::vector<Table> SketchBytesTables() {
+  std::vector<Table> tables;
+  lakebench::UnionSearchScale union_scale;
+  union_scale.num_seeds = 3;
+  union_scale.variants_per_seed = 3;
+  union_scale.num_queries = 3;
+  union_scale.rows = 1024;
+  for (Table& t : lakebench::MakeUnionSearch(lakebench::DomainCatalog(42, 200),
+                                             union_scale, 1, "union")
+                      .tables) {
+    tables.push_back(std::move(t));
+  }
+  lakebench::WikiJoinScale join_scale;
+  join_scale.num_tables = 12;
+  join_scale.num_queries = 3;
+  join_scale.rows = 64;
+  for (Table& t : lakebench::MakeWikiJoinSearch(join_scale, 1).tables) {
+    tables.push_back(std::move(t));
+  }
+  for (Table& t : tables) t.InferTypes();
+
+  // Null tokens with mixed case and padding; all-null columns of each type.
+  const std::vector<std::string> nulls = {" NA ", "n/a", "NULL", "", "  ",
+                                          "None", "-", "NaN", "N/A", "\tnull"};
+  Table null_table("nulls", "every cell missing");
+  for (ColumnType type : {ColumnType::kString, ColumnType::kInteger,
+                          ColumnType::kFloat, ColumnType::kDate}) {
+    null_table.AddColumn(TypedColumn(ColumnTypeName(type), type, nulls));
+  }
+  null_table.AddColumn(TypedColumn(
+      "some", ColumnType::kInteger,
+      {"7", " NA ", "n/a", "7", "NULL", "-3", "", "  ", "none", "-"}));
+  tables.push_back(std::move(null_table));
+
+  // Parse failures after the type is set, signed zeros, overflowing sums.
+  Table parse("parse", "cells that fail to parse");
+  parse.AddColumn(TypedColumn(
+      "int", ColumnType::kInteger,
+      {"1", " 42 ", "-0", "0", "oops", "1e999", "3.5", "7", "NULL", "12",
+       "9223372036854775807", "-9223372036854775808", "99999999999999999999"}));
+  parse.AddColumn(TypedColumn(
+      "float", ColumnType::kFloat,
+      {"1.5", "1e999", "inf", "-inf", "2.5e3", "oops", "-0.0", "0.0",
+       "1e308", "1e308", "1e308", "-1e-320", "  3.25\t"}));
+  parse.AddColumn(TypedColumn(
+      "date", ColumnType::kDate,
+      {"2021-01-05", "2021-13-40", "05/01/2021", "2021/01/05", "1999",
+       "12-31-1999", "oops", "2021-02-29", "2020-02-29", "0999", "2021-1-5",
+       "31/12/1969", "2021-01-05"}));
+  parse.AddColumn(TypedColumn(
+      "huge", ColumnType::kFloat,
+      {"1e308", "-1e308", "1e308", "1e308", "-1e308", "1e308", "1e308",
+       "1e308", "1e308", "1e308", "1e308", "1e308", "1e308"}));
+  tables.push_back(std::move(parse));
+
+  // Words with mixed case, tabs, repeated spaces and non-ASCII bytes;
+  // cells equal up to case are distinct cells but share their words.
+  Table words("words", "whitespace and case");
+  words.AddColumn(TypedColumn(
+      "city", ColumnType::kString,
+      {"New  York", "new\tyork", "NEW YORK ", "\tSan Francisco\t",
+       "san   francisco", "Z\xc3\xbcrich", "Z\xc3\x9cRICH", "a b c d",
+       "A B C D", "new york", "x\t\ty", "a-long-cell-that-needs-the-heap", " "}));
+  words.AddColumn(TypedColumn(
+      "code", ColumnType::kString,
+      {"AB_01", "ab_01", "AB_01", "CD 02", "cd  02", "EF\t03", "NA", "na",
+       "nan", "NaNa", "none of these", "-", "--"}));
+  tables.push_back(std::move(words));
+
+  // Both sides of the 10,000-distinct-cell budget (cell MinHash) and of
+  // the 10,000-row budget (word MinHash). The cells and words at each
+  // boundary lower a slot of the signature over what precedes them, so a
+  // budget off by one in either direction changes the sketch.
+  const size_t kBudget = 10000;
+  const size_t kRows = kBudget + kBudget / 5 + 10;
+  std::vector<std::string> prefix;
+  for (size_t i = 0; i + 1 < kBudget; ++i) prefix.push_back("c" + std::to_string(i));
+  const std::string last_in = SlotWinner(prefix, "in");
+  prefix.push_back(last_in);
+  const std::string first_out = SlotWinner(prefix, "out");
+  // over: 10,000 distinct cells, then new ones. under: 9,999 and repeats.
+  // late: nulls and repeats push the 10,000th distinct cell past row
+  // 10,000, so the cell budget counts distinct cells, not rows.
+  std::vector<std::string> over = prefix, under = prefix, late;
+  over.push_back(first_out);
+  under.back() = "c0";
+  for (size_t i = 0; i + 1 < kBudget; ++i) {
+    late.push_back(prefix[i]);
+    if (i % 5 == 4) late.push_back(i % 10 == 4 ? " NULL" : prefix[i - 1]);
+  }
+  late.push_back(last_in);
+  late.push_back(first_out);
+  std::vector<std::string> spread;
+  for (size_t r = 0; r < kRows; ++r) {
+    spread.push_back(std::to_string(r % 4 == 0 ? r : r * 7919 % 10007));
+  }
+  // Row budget: new words on the last counted row and on the first
+  // uncounted one, then a repeat of the counted cell. words_before is a
+  // superset of the words before them, so a word that wins a slot over it
+  // wins over them too.
+  std::vector<std::string> row_words(kBudget - 1), words_before = {"common"};
+  for (size_t r = 0; r < row_words.size(); ++r) {
+    row_words[r] = r % 5 == 0 ? "n/a" : "Word" + std::to_string(r % 50) + "\tcommon";
+    if (r < 50) words_before.push_back("word" + std::to_string(r));
+  }
+  const std::string last_word = SlotWinner(words_before, "lastin");
+  words_before.push_back(last_word);
+  const std::string first_out_word = SlotWinner(words_before, "firstout");
+  row_words.push_back("COMMON  " + last_word);
+  row_words.push_back(first_out_word + " common");
+  row_words.push_back("COMMON  " + last_word);
+  for (auto* col : {&over, &under, &late, &row_words}) {
+    for (size_t r = col->size(); r < kRows; ++r) {
+      col->push_back(col == &over ? "x" + std::to_string(r) : "c1");
+    }
+  }
+  Table budget("budget", "cell and row budgets");
+  budget.AddColumn(TypedColumn("over", ColumnType::kString, over));
+  budget.AddColumn(TypedColumn("under", ColumnType::kString, under));
+  budget.AddColumn(TypedColumn("late", ColumnType::kString, late));
+  budget.AddColumn(TypedColumn("spread", ColumnType::kInteger, spread));
+  budget.AddColumn(TypedColumn("row_words", ColumnType::kString, row_words));
+  tables.push_back(std::move(budget));
+
+  // A long table: many repeats, every type, past the snapshot row budget.
+  Table long_table("long", "25,030 rows");
+  std::vector<std::string> ints, floats, dates, names;
+  Rng rng(5);
+  for (size_t r = 0; r < 25030; ++r) {
+    ints.push_back(r % 97 == 0 ? "" : std::to_string(r % 997));
+    floats.push_back(std::to_string(rng.Normal(50, 20)));
+    dates.push_back(std::to_string(1990 + r % 30) + "-0" +
+                    std::to_string(1 + r % 9) + "-1" + std::to_string(r % 10));
+    names.push_back("Name " + std::to_string(r % 12000) + " grp" +
+                    std::to_string(r % 13));
+  }
+  long_table.AddColumn(TypedColumn("ints", ColumnType::kInteger, ints));
+  long_table.AddColumn(TypedColumn("floats", ColumnType::kFloat, floats));
+  long_table.AddColumn(TypedColumn("dates", ColumnType::kDate, dates));
+  long_table.AddColumn(TypedColumn("names", ColumnType::kString, names));
+  tables.push_back(std::move(long_table));
+
+  // No rows, and no columns.
+  Table empty_rows("empty_rows", "");
+  empty_rows.AddColumn(TypedColumn("s", ColumnType::kString, {}));
+  empty_rows.AddColumn(TypedColumn("i", ColumnType::kInteger, {}));
+  tables.push_back(std::move(empty_rows));
+  tables.emplace_back("no_columns", "");
+  return tables;
+}
+
+// The digest of SketchBytesTables' integer fields at num_perm 16 and 32.
+constexpr uint64_t kSketchBytesDigest = 0x10a6c66db7b20567ULL;
+
+uint64_t FoldString(uint64_t digest, std::string_view s) {
+  return HashCombine(HashCombine(digest, s.size()), Fnv1a64(s));
+}
+
+uint64_t FoldMinHash(uint64_t digest, const MinHash& mh) {
+  digest = HashCombine(digest, mh.empty() ? 1 : 0);
+  digest = HashCombine(digest, mh.num_perm());
+  for (uint32_t slot : mh.signature()) digest = HashCombine(digest, slot);
+  return digest;
+}
+
+TEST(SketchBytesTest, EveryFieldMatchesTheReference) {
+  const std::vector<Table> tables = SketchBytesTables();
+  uint64_t digest = tables.size();
+  for (const Table& table : tables) {
+    for (size_t num_perm : {16, 32}) {
+      SketchOptions options;
+      options.num_perm = num_perm;
+      const TableSketch sketch = BuildTableSketch(table, options);
+      digest = FoldString(digest, sketch.table_id);
+      digest = FoldString(digest, sketch.description);
+      digest = FoldMinHash(digest, sketch.content_snapshot);
+      ASSERT_EQ(sketch.columns.size(), table.num_columns()) << table.id();
+      for (size_t c = 0; c < table.num_columns(); ++c) {
+        const ColumnSketch& cs = sketch.columns[c];
+        digest = FoldString(digest, cs.name);
+        digest = HashCombine(digest, static_cast<uint64_t>(cs.type));
+        digest = FoldMinHash(digest, cs.cell_minhash);
+        digest = FoldMinHash(digest, cs.word_minhash);
+        const auto expected = ReferenceNumerical(table.column(c));
+        for (size_t i = 0; i < kNumericalSketchDim; ++i) {
+          EXPECT_EQ(std::bit_cast<uint32_t>(cs.numerical.values[i]),
+                    std::bit_cast<uint32_t>(expected[i]))
+              << table.id() << " column " << c << " slot " << i << ": "
+              << cs.numerical.values[i] << " vs " << expected[i];
+        }
+      }
+    }
+  }
+  EXPECT_EQ(digest, kSketchBytesDigest) << "0x" << std::hex << digest;
 }
 
 // ---------------------------------------------------------------- SimHash
