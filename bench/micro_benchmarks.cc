@@ -1,6 +1,7 @@
 // google-benchmark micro-benchmarks for the performance-critical substrates:
 // sketching throughput, tokenizer, attention forward/backward, ANN search
-// (flat vs HNSW build/query/recall, serial vs pooled batch). These are the
+// (flat vs HNSW build/query/recall, serial vs pooled batch), and the embed
+// stage (MatMul, ColumnEmbeddings) under each kernel level. These are the
 // ablation benches for DESIGN.md's design choices (MinHash K,
 // tensor-granularity autograd, pluggable VectorIndex backends).
 #include <benchmark/benchmark.h>
@@ -15,8 +16,10 @@
 #include <thread>
 #include <unordered_set>
 
+#include "core/embedder.h"
 #include "lakebench/corpus.h"
 #include "lakebench/datagen.h"
+#include "lakebench/search_benchmarks.h"
 #include "nn/attention.h"
 #include "nn/ops.h"
 #include "search/distance_kernels.h"
@@ -32,6 +35,7 @@
 #include "sketch/minhash.h"
 #include "sketch/table_sketch.h"
 #include "text/tokenizer.h"
+#include "util/simd.h"
 #include "util/thread_pool.h"
 
 namespace tsfm {
@@ -771,8 +775,27 @@ void BM_DistributedQPS(benchmark::State& state) {
 }
 BENCHMARK(BM_DistributedQPS)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
+// ------------------------------------------------------------ embed stage
+// The last arg selects the process-wide kernel level (util/simd.h) that
+// nn::MatMul dispatches on: 0 = the automatic selection, 1 = scalar. The
+// label names the level measured. See bench/results/embed.json for a
+// recorded run.
+
+class PinSimdLevel {
+ public:
+  PinSimdLevel(benchmark::State& state, int64_t scalar) {
+    internal::OverrideSimdLevelForTest(
+        scalar != 0 ? std::optional(SimdLevel::kScalar) : std::nullopt);
+    state.SetLabel(SimdLevelName(ActiveSimdLevel()));
+  }
+  ~PinSimdLevel() { internal::OverrideSimdLevelForTest(std::nullopt); }
+  PinSimdLevel(const PinSimdLevel&) = delete;
+  PinSimdLevel& operator=(const PinSimdLevel&) = delete;
+};
+
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const PinSimdLevel pin(state, state.range(1));
   Rng rng(6);
   nn::Tensor a(n, n), b(n, n);
   for (size_t i = 0; i < a.size(); ++i) {
@@ -787,7 +810,86 @@ void BM_MatMul(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMul)->ArgsProduct({{32, 64, 128}, {0, 1}});
+
+// The end-to-end benchmark's model stack (bench/e2e): hidden 32, 2 layers,
+// 2 heads, ffn 64, 16 MinHash slots, seeded and untrained, with the
+// sketches of one generator join table and one 32-row union table.
+// Members point into each other: construct in place, never move.
+struct EmbedFixture {
+  static core::TabSketchFMConfig Config(size_t vocab_size) {
+    core::TabSketchFMConfig config;
+    config.encoder.hidden = 32;
+    config.encoder.num_layers = 2;
+    config.encoder.num_heads = 2;
+    config.encoder.ffn_dim = 64;
+    config.encoder.dropout = 0.0f;
+    config.vocab_size = vocab_size;
+    config.num_perm = 16;
+    return config;
+  }
+  static text::Vocab Vocab() {
+    lakebench::CorpusScale scale;
+    scale.num_tables = 12;
+    scale.augmentations = 0;
+    return lakebench::BuildVocabFromTables(
+        lakebench::MakePretrainCorpus(lakebench::DomainCatalog(99, 100), scale,
+                                      99),
+        /*include_cells=*/false);
+  }
+
+  EmbedFixture()
+      : vocab(Vocab()),
+        config(Config(vocab.size())),
+        rng(1),
+        model(config, &rng),
+        tokenizer(&vocab),
+        encoder(&config, &tokenizer),
+        embedder(&model, &encoder) {
+    SketchOptions options;
+    options.num_perm = config.num_perm;
+    lakebench::WikiJoinScale join;
+    join.num_tables = 20;
+    join.num_queries = 2;
+    sketches.push_back(BuildTableSketch(
+        lakebench::MakeWikiJoinSearch(join, 21).tables[0], options));
+    lakebench::UnionSearchScale scale;
+    scale.num_seeds = 2;
+    scale.variants_per_seed = 2;
+    scale.num_queries = 1;
+    scale.rows = 32;
+    sketches.push_back(BuildTableSketch(
+        lakebench::MakeUnionSearch(lakebench::DomainCatalog(42, 200), scale,
+                                   21, "lake")
+            .tables[0],
+        options));
+  }
+
+  text::Vocab vocab;
+  core::TabSketchFMConfig config;
+  Rng rng;
+  core::TabSketchFM model;
+  text::Tokenizer tokenizer;
+  core::InputEncoder encoder;
+  core::Embedder embedder;
+  std::vector<TableSketch> sketches;
+};
+
+// The embed stage of every query and every lake write: one join and one
+// union table through Embedder::ColumnEmbeddings per iteration.
+void BM_ColumnEmbeddings(benchmark::State& state) {
+  static const EmbedFixture* const fixture = new EmbedFixture();
+  const PinSimdLevel pin(state, state.range(0));
+  for (auto _ : state) {
+    for (const TableSketch& sketch : fixture->sketches) {
+      auto columns = fixture->embedder.ColumnEmbeddings(sketch);
+      benchmark::DoNotOptimize(columns.data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fixture->sketches.size()));
+}
+BENCHMARK(BM_ColumnEmbeddings)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace tsfm

@@ -7,6 +7,7 @@
 namespace tsfm::core {
 
 std::vector<float> Embedder::TableEmbedding(const TableSketch& sketch) const {
+  nn::NoGradGuard no_grad;
   EncodedTable encoded = input_encoder_->EncodeTable(sketch);
   ApplyAblation(ablation_, &encoded);
   Rng rng(0);
@@ -17,6 +18,7 @@ std::vector<float> Embedder::TableEmbedding(const TableSketch& sketch) const {
 
 std::vector<std::vector<float>> Embedder::ColumnEmbeddings(
     const TableSketch& sketch) const {
+  nn::NoGradGuard no_grad;
   std::vector<std::vector<float>> context = ContextualColumnStates(sketch);
   std::vector<std::vector<float>> out;
   out.reserve(context.size());
@@ -48,6 +50,7 @@ std::vector<std::vector<float>> Embedder::ColumnEmbeddings(
 
 std::vector<std::vector<float>> Embedder::ContextualColumnStates(
     const TableSketch& sketch) const {
+  nn::NoGradGuard no_grad;
   EncodedTable encoded = input_encoder_->EncodeTable(sketch);
   ApplyAblation(ablation_, &encoded);
   Rng rng(0);

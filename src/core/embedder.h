@@ -11,6 +11,10 @@
 namespace tsfm::core {
 
 /// \brief Extracts dense embeddings for search indexing.
+///
+/// Inference only: every method holds an nn::NoGradGuard, so the model's
+/// ops build no autograd tape (no grad buffers, parents or backward
+/// closures) and the embeddings are byte-identical to a taped forward.
 class Embedder {
  public:
   Embedder(const TabSketchFM* model, const InputEncoder* input_encoder,

@@ -1,23 +1,30 @@
 #include "nn/autograd.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "util/logging.h"
 
 namespace tsfm::nn {
 
+namespace {
+thread_local bool g_grad_enabled = true;
+}  // namespace
+
+NoGradGuard::NoGradGuard() : previous_(g_grad_enabled) {
+  g_grad_enabled = false;
+}
+
+NoGradGuard::~NoGradGuard() { g_grad_enabled = previous_; }
+
 Var MakeLeaf(Tensor value, bool requires_grad) {
   return std::make_shared<Node>(std::move(value), requires_grad);
 }
 
 Var MakeOp(Tensor value, std::vector<Var> parents, std::function<void()> backward) {
-  bool needs = false;
-  for (const auto& p : parents) {
-    if (p->requires_grad()) {
-      needs = true;
-      break;
-    }
-  }
+  const bool needs =
+      g_grad_enabled && std::any_of(parents.begin(), parents.end(),
+                                    [](const Var& p) { return p->requires_grad(); });
   auto node = std::make_shared<Node>(std::move(value), needs);
   if (needs) {
     node->set_parents(std::move(parents));

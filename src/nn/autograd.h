@@ -57,9 +57,28 @@ class Node {
 Var MakeLeaf(Tensor value, bool requires_grad);
 
 /// Creates an interior node whose gradient flows to `parents` via `backward`.
-/// The node requires grad iff any parent does; `backward` is only invoked in
-/// that case.
+/// The node requires grad iff any parent does and no NoGradGuard is active
+/// on this thread; only then does it keep `parents` and `backward`.
 Var MakeOp(Tensor value, std::vector<Var> parents, std::function<void()> backward);
+
+/// \brief Turns off tape building on this thread for one scope.
+///
+/// While a guard is alive, MakeOp builds nodes that do not require grad:
+/// no grad buffer and no parents, and ops register a backward closure only
+/// when their node requires grad, so they build none. Each intermediate
+/// value is freed as soon as the caller drops it. Forward values are
+/// unchanged. Guards nest, and each restores the state it found. Inference
+/// (core::Embedder) holds one; training never does.
+class NoGradGuard {
+ public:
+  NoGradGuard();
+  ~NoGradGuard();
+  NoGradGuard(const NoGradGuard&) = delete;
+  NoGradGuard& operator=(const NoGradGuard&) = delete;
+
+ private:
+  bool previous_;
+};
 
 /// \brief Runs reverse-mode autodiff from `loss` (must be [1x1]).
 ///

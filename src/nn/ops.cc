@@ -3,13 +3,37 @@
 #include <algorithm>
 #include <cmath>
 
+#include "nn/matmul_kernel.h"
 #include "util/logging.h"
 
 namespace tsfm::nn {
 
 namespace {
 constexpr float kGeluC = 0.7978845608028654f;  // sqrt(2/pi)
+
+// The reference MatMul kernel (matmul_kernel.h). ikj order: streams B
+// rows, cache-friendly.
+void MatMulScalar(const float* a, const float* b, size_t m, size_t k,
+                  size_t n, float* c) {
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (size_t kk = 0; kk < k; ++kk) {
+      const float av = arow[kk];
+      if (av == 0.0f) continue;
+      const float* brow = b + kk * n;
+      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
 }  // namespace
+
+MatMulKernelFn MatMulKernel([[maybe_unused]] SimdLevel level) {
+#if defined(TSFM_HAVE_AVX2_KERNELS)
+  if (level == SimdLevel::kAvx2) return internal::MatMulAvx2;
+#endif
+  return MatMulScalar;
+}
 
 Var MatMul(const Var& a, const Var& b) {
   const Tensor& A = a->value();
@@ -17,17 +41,7 @@ Var MatMul(const Var& a, const Var& b) {
   TSFM_CHECK_EQ(A.cols(), B.rows());
   const size_t m = A.rows(), k = A.cols(), n = B.cols();
   Tensor C(m, n);
-  // ikj order: streams B rows, cache-friendly.
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = A.data() + i * k;
-    float* crow = C.data() + i * n;
-    for (size_t kk = 0; kk < k; ++kk) {
-      const float av = arow[kk];
-      if (av == 0.0f) continue;
-      const float* brow = B.data() + kk * n;
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  MatMulKernel(ActiveSimdLevel())(A.data(), B.data(), m, k, n, C.data());
   auto out = MakeOp(std::move(C), {a, b}, nullptr);
   if (out->requires_grad()) {
     Node* on = out.get();

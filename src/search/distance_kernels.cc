@@ -1,14 +1,13 @@
 #include "search/distance_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <queue>
 #include <utility>
 
 #include "search/quantizer.h"
+#include "util/simd.h"
 
 #if defined(__aarch64__)
 #include <arm_neon.h>
@@ -239,61 +238,23 @@ constexpr KernelDispatch kNeonKernels = {
 
 // --------------------------------------------------------------- selection
 
-bool ForceScalarFromEnv() {
-  const char* v = std::getenv("LAKS_FORCE_SCALAR");
-  // Any non-empty value other than "0" forces scalar.
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-}
-
-const KernelDispatch* SelectKernels(bool force_scalar) {
-  if (force_scalar) return &kScalarKernels;
+const KernelDispatch& KernelsFor([[maybe_unused]] SimdLevel level) {
 #if defined(TSFM_HAVE_AVX2_KERNELS)
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    return internal::Avx2Kernels();
-  }
+  if (level == SimdLevel::kAvx2) return *internal::Avx2Kernels();
 #endif
 #if defined(__aarch64__)
-  return &kNeonKernels;
-#else
-  return &kScalarKernels;
+  if (level == SimdLevel::kNeon) return kNeonKernels;
 #endif
+  return kScalarKernels;
 }
-
-std::atomic<const KernelDispatch*> g_active{nullptr};
 
 }  // namespace
 
-const KernelDispatch& Kernels() {
-  const KernelDispatch* active = g_active.load(std::memory_order_acquire);
-  if (active == nullptr) {
-    // Selection is deterministic, so a racing first call resolves to the
-    // same set whichever store wins.
-    const KernelDispatch* selected = SelectKernels(ForceScalarFromEnv());
-    const KernelDispatch* expected = nullptr;
-    g_active.compare_exchange_strong(expected, selected,
-                                     std::memory_order_acq_rel);
-    active = g_active.load(std::memory_order_acquire);
-  }
-  return *active;
-}
+const KernelDispatch& Kernels() { return KernelsFor(ActiveSimdLevel()); }
 
 const KernelDispatch& ScalarKernels() { return kScalarKernels; }
 
-const KernelDispatch& BestKernels() {
-  return *SelectKernels(/*force_scalar=*/false);
-}
-
-namespace internal {
-
-void OverrideKernelsForTest(const KernelDispatch* kernels) {
-  g_active.store(kernels != nullptr ? kernels
-                                    : SelectKernels(ForceScalarFromEnv()),
-                 std::memory_order_release);
-}
-
-bool ForceScalarFromEnvForTest() { return ForceScalarFromEnv(); }
-
-}  // namespace internal
+const KernelDispatch& BestKernels() { return KernelsFor(BestSimdLevel()); }
 
 float Norm(const float* a, size_t n) {
   return std::sqrt(Kernels().dot(a, a, n));

@@ -3,11 +3,11 @@
 // Every query in the repo bottoms out in inner-product / L2 scans
 // (KnnIndex's flat scan) or HNSW neighbour expansion (HnswIndex::Distance).
 // This module owns those loops: a kernel set (pairwise dot and squared L2,
-// plus many-queries-many-rows variants over float and SQ8 rows) is
-// selected once per process by runtime CPU detection — AVX2+FMA when the
-// CPU has both, NEON on aarch64, portable scalar otherwise — and exposed
-// as plain function pointers so the indexes above never carry their own
-// arithmetic.
+// plus many-queries-many-rows variants over float and SQ8 rows) per
+// instruction-set level — AVX2+FMA, NEON on aarch64, portable scalar —
+// exposed as plain function pointers so the indexes above never carry
+// their own arithmetic. Which set runs is the process's SimdLevel
+// (util/simd.h), the selector nn::MatMul shares.
 //
 // Semantics the seam guarantees (so callers cannot diverge):
 //   - Cosine normalization lives HERE. CosineDistanceFromDot folds the
@@ -29,8 +29,7 @@
 //     blocking changes the accumulation order.
 //
 // Setting LAKS_FORCE_SCALAR=1 in the environment forces the scalar set
-// regardless of CPU, so SIMD/scalar parity is testable on any machine
-// (CI runs the whole tier-1 suite once per mode).
+// (util/simd.h), so SIMD/scalar parity is testable on any machine.
 #ifndef TSFM_SEARCH_DISTANCE_KERNELS_H_
 #define TSFM_SEARCH_DISTANCE_KERNELS_H_
 
@@ -82,7 +81,7 @@ using MultiBatchKernelSq8Fn = void (*)(const float* queries,
                                        size_t dim, float* out);
 
 /// \brief One ISA's kernel set. Instances are immutable process-lifetime
-/// statics; Kernels() picks one at first use.
+/// statics; Kernels() returns the one for ActiveSimdLevel().
 struct KernelDispatch {
   const char* name;        ///< "scalar", "avx2-fma", or "neon"
   PairKernelFn dot;        ///< inner product
@@ -93,31 +92,18 @@ struct KernelDispatch {
   MultiBatchKernelSq8Fn l2sq_multi_sq8;  ///< multi-query sq L2 vs u8 rows
 };
 
-/// \brief The kernel set this process uses, selected once at first call.
-///
-/// AVX2+FMA when compiled in and the CPU supports both, NEON on aarch64,
-/// scalar otherwise; LAKS_FORCE_SCALAR=1 in the environment forces scalar.
+/// The kernel set of the process's ActiveSimdLevel() (util/simd.h).
 const KernelDispatch& Kernels();
 
 /// The portable scalar reference set (always available).
 const KernelDispatch& ScalarKernels();
 
-/// The best set for this CPU, ignoring the LAKS_FORCE_SCALAR override.
+/// The set of BestSimdLevel(), ignoring the LAKS_FORCE_SCALAR override.
 /// Lets parity tests and benches compare scalar vs SIMD in one process
 /// even when the process-wide selection was forced scalar.
 const KernelDispatch& BestKernels();
 
 namespace internal {
-/// Replaces the process-wide selection (nullptr restores the automatic
-/// choice). Test-only: lets one process run the same queries under two
-/// kernel sets. Not safe while searches run on other threads.
-void OverrideKernelsForTest(const KernelDispatch* kernels);
-
-/// Whether LAKS_FORCE_SCALAR currently forces the scalar set. Test-only:
-/// lets the env-override test restore whatever selection the surrounding
-/// process was launched with.
-bool ForceScalarFromEnvForTest();
-
 /// The AVX2+FMA set. Defined in distance_kernels_avx2.cc, which CMake
 /// compiles (with -mavx2 -mfma) only on x86-64; referenced only under
 /// TSFM_HAVE_AVX2_KERNELS and behind a runtime CPU check.

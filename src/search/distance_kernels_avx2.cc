@@ -1,6 +1,6 @@
 // AVX2+FMA kernel set. This TU is the only one compiled with
 // -mavx2 -mfma (see CMakeLists.txt), and is only reached through the
-// runtime CPU check in Kernels() — so nothing here may be called, and no
+// runtime CPU check in util/simd.cc — so nothing here may be called, and no
 // header inline function may be instantiated, from this TU in a way that
 // could be linked into the portable path (a scalar-looking inline compiled
 // here still carries VEX encodings). Everything below is file-local except

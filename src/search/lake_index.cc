@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <span>
 #include <utility>
 
@@ -55,6 +57,10 @@ IndexOptions DeltaOptions(const IndexOptions& base, Metric metric) {
   return options;
 }
 
+// CheckVectors' bound on a column's squared norm (see shard.h).
+constexpr double kMaxSquaredNorm =
+    static_cast<double>(std::numeric_limits<float>::max()) / 8;
+
 }  // namespace
 
 Status CheckVectors(const std::vector<std::vector<float>>& columns,
@@ -67,13 +73,23 @@ Status CheckVectors(const std::vector<std::vector<float>>& columns,
           std::to_string(column.size()) + ", index dim is " +
           std::to_string(dim));
     }
+    double norm_sq = 0.0;
     for (size_t i = 0; i < dim; ++i) {
       const float x = column[i];
-      if (std::isfinite(x)) continue;
-      const char* what = std::isnan(x) ? "nan" : x > 0 ? "+inf" : "-inf";
-      return Status::InvalidArgument("column " + std::to_string(c) +
-                                     " component " + std::to_string(i) +
-                                     " is " + what);
+      if (!std::isfinite(x)) {
+        const char* what = std::isnan(x) ? "nan" : x > 0 ? "+inf" : "-inf";
+        return Status::InvalidArgument("column " + std::to_string(c) +
+                                       " component " + std::to_string(i) +
+                                       " is " + what);
+      }
+      norm_sq += static_cast<double>(x) * x;
+    }
+    if (norm_sq > kMaxSquaredNorm) {
+      char what[96];
+      std::snprintf(what, sizeof(what),
+                    " has squared norm %.3g, above the bound %.3g", norm_sq,
+                    kMaxSquaredNorm);
+      return Status::InvalidArgument("column " + std::to_string(c) + what);
     }
   }
   return Status::OK();

@@ -34,13 +34,19 @@ struct ShardCounts {
 };
 
 /// \brief kInvalidArgument naming the first column whose size is not
-/// `dim` or that holds a NaN or infinite component (and that component);
-/// OK otherwise.
+/// `dim`, that holds a NaN or infinite component (and that component), or
+/// whose squared L2 norm, summed in double, exceeds FLT_MAX / 8; OK
+/// otherwise.
+///
+/// Two accepted vectors have |a.b| <= FLT_MAX / 8 and |a - b|^2 <=
+/// FLT_MAX / 2, so every float dot, norm and squared L2 between them stays
+/// finite with room for rounding.
 ///
 /// Every entry point that takes vectors from outside runs this before any
 /// shard sees them: one non-finite row changes other tables' rankings
 /// (a NaN distance evicts real candidates from a top-k heap, and SQ8
-/// calibrates its range over every row).
+/// calibrates its range over every row), and a finite row such as
+/// [1e20, 0, ...] overflows its own dot products to inf or NaN.
 Status CheckVectors(const std::vector<std::vector<float>>& columns,
                     size_t dim);
 

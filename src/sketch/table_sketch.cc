@@ -1,6 +1,8 @@
 #include "sketch/table_sketch.h"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_set>
 
 #include "util/hash.h"
 
@@ -45,9 +47,15 @@ std::vector<float> ColumnSketch::OneBitMinHashInput() const {
 }
 
 std::vector<std::string> DistinctCells(const Column& column, size_t max_cells) {
-  std::vector<std::string_view> distinct = ProfileColumn(column).distinct;
-  distinct.resize(std::min(max_cells, distinct.size()));
-  return {distinct.begin(), distinct.end()};
+  // Its own short walk, not ProfileColumn's: nothing is parsed or split,
+  // and it stops at the max_cells-th distinct cell.
+  std::vector<std::string> out;
+  std::unordered_set<std::string_view> seen;
+  for (const std::string& cell : column.cells) {
+    if (out.size() >= max_cells) break;
+    if (!IsNullToken(cell) && seen.insert(cell).second) out.push_back(cell);
+  }
+  return out;
 }
 
 TableSketch BuildTableSketch(const Table& table, const SketchOptions& options) {

@@ -62,7 +62,9 @@ struct TableSketch {
 TableSketch BuildTableSketch(const Table& table, const SketchOptions& options = {});
 
 /// The first `max_cells` distinct non-null cells of a column, in first-seen
-/// order (the default is the cell MinHash's set).
+/// order (the default is the cell MinHash's set): ProfileColumn's
+/// `distinct` cut to `max_cells`, from a walk that stops there and parses
+/// and splits nothing.
 std::vector<std::string> DistinctCells(const Column& column,
                                        size_t max_cells = kSketchCells);
 

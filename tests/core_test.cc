@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/cross_encoder.h"
 #include "core/embedder.h"
@@ -11,6 +12,9 @@
 #include "core/pretrainer.h"
 #include "lakebench/corpus.h"
 #include "lakebench/finetune_benchmarks.h"
+#include "lakebench/search_benchmarks.h"
+#include "nn/autograd.h"
+#include "test_util.h"
 
 namespace tsfm::core {
 namespace {
@@ -421,6 +425,129 @@ TEST(EmbedderTest, NonFiniteCellsEmbedToFiniteColumns) {
   ASSERT_EQ(cols.size(), 5u);
   for (size_t c = 0; c < cols.size(); ++c) {
     for (float x : cols[c]) ASSERT_TRUE(std::isfinite(x)) << "column " << c;
+  }
+}
+
+// The end-to-end benchmark's model stack: hidden 32, 2 layers, 2 heads,
+// ffn 64, 16 MinHash slots (96-dim column embeddings), seeded and
+// untrained, over a vocabulary of generator tables. Members point into
+// each other: construct in place, never move.
+struct E2eModel {
+  static TabSketchFMConfig Config(size_t vocab_size) {
+    TabSketchFMConfig config;
+    config.encoder.hidden = 32;
+    config.encoder.num_layers = 2;
+    config.encoder.num_heads = 2;
+    config.encoder.ffn_dim = 64;
+    config.encoder.dropout = 0.0f;
+    config.vocab_size = vocab_size;
+    config.num_perm = 16;
+    return config;
+  }
+  static text::Vocab Vocab() {
+    lakebench::CorpusScale scale;
+    scale.num_tables = 12;
+    scale.augmentations = 0;
+    return lakebench::BuildVocabFromTables(
+        lakebench::MakePretrainCorpus(lakebench::DomainCatalog(99, 100), scale,
+                                      99),
+        /*include_cells=*/false);
+  }
+
+  E2eModel()
+      : vocab(Vocab()),
+        config(Config(vocab.size())),
+        rng(1),
+        model(config, &rng),
+        tokenizer(&vocab),
+        encoder(&config, &tokenizer),
+        embedder(&model, &encoder) {}
+  E2eModel(const E2eModel&) = delete;
+  E2eModel& operator=(const E2eModel&) = delete;
+
+  TableSketch Sketch(const Table& table) const {
+    SketchOptions options;
+    options.num_perm = config.num_perm;
+    return BuildTableSketch(table, options);
+  }
+
+  text::Vocab vocab;
+  TabSketchFMConfig config;
+  Rng rng;
+  TabSketchFM model;
+  text::Tokenizer tokenizer;
+  InputEncoder encoder;
+  Embedder embedder;
+};
+
+// A few generator join tables and 32-row union tables.
+std::vector<Table> GeneratorTables() {
+  lakebench::WikiJoinScale join;
+  join.num_tables = 12;
+  join.num_queries = 2;
+  lakebench::UnionSearchScale scale;
+  scale.num_seeds = 3;
+  scale.variants_per_seed = 4;
+  scale.num_queries = 2;
+  scale.rows = 32;
+  std::vector<Table> tables = lakebench::MakeWikiJoinSearch(join, 5).tables;
+  for (Table& t : lakebench::MakeUnionSearch(lakebench::DomainCatalog(42, 200),
+                                             scale, 5, "lake")
+                      .tables) {
+    tables.push_back(std::move(t));
+  }
+  return tables;
+}
+
+// Every float of `columns`, as bits.
+std::vector<uint32_t> Bits(const std::vector<std::vector<float>>& columns) {
+  std::vector<uint32_t> bits;
+  for (const auto& column : columns) {
+    const size_t at = bits.size();
+    bits.resize(at + column.size());
+    std::memcpy(bits.data() + at, column.data(), column.size() * sizeof(float));
+  }
+  return bits;
+}
+
+TEST(EmbedderTest, ColumnEmbeddingsByteEqualUnderEveryKernelLevel) {
+  // nn::MatMul's SIMD kernel keeps the scalar loop's order and rounding
+  // (nn/matmul_kernel.h), so the selection never changes an embedding.
+  // The best level is pinned, not left automatic, so the LAKS_FORCE_SCALAR
+  // leg compares SIMD with scalar too.
+  const E2eModel m;
+  const std::vector<Table> tables = GeneratorTables();
+  ASSERT_GT(tables.size(), 20u);
+  for (const Table& table : tables) {
+    const TableSketch sketch = m.Sketch(table);
+    std::vector<uint32_t> automatic = Bits(m.embedder.ColumnEmbeddings(sketch));
+    std::vector<uint32_t> best, scalar;
+    {
+      testutil::ScopedSimdLevel pin(BestSimdLevel());
+      best = Bits(m.embedder.ColumnEmbeddings(sketch));
+    }
+    {
+      testutil::ScopedSimdLevel pin(SimdLevel::kScalar);
+      scalar = Bits(m.embedder.ColumnEmbeddings(sketch));
+    }
+    ASSERT_EQ(scalar.size(), table.num_columns() * 96) << table.id();
+    EXPECT_EQ(best, scalar) << table.id();
+    EXPECT_EQ(automatic, scalar) << table.id();
+  }
+}
+
+TEST(ModelTest, EncodeByteEqualWithAndWithoutTheTape) {
+  const E2eModel m;
+  for (const Table& table : GeneratorTables()) {
+    const EncodedTable encoded = m.encoder.EncodeTable(m.Sketch(table));
+    Rng rng(0);
+    const nn::Var taped = m.model.Encode(encoded, /*training=*/false, &rng);
+    ASSERT_TRUE(taped->requires_grad());
+    nn::NoGradGuard no_grad;
+    const nn::Var untaped = m.model.Encode(encoded, /*training=*/false, &rng);
+    EXPECT_FALSE(untaped->requires_grad());
+    EXPECT_EQ(Bits({untaped->value().flat()}), Bits({taped->value().flat()}))
+        << table.id();
   }
 }
 

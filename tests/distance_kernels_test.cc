@@ -27,15 +27,7 @@ namespace tsfm::search {
 namespace {
 
 using testutil::RandomVec;
-
-// Pins the process-wide kernel selection for one scope.
-class ScopedKernels {
- public:
-  explicit ScopedKernels(const KernelDispatch& kernels) {
-    internal::OverrideKernelsForTest(&kernels);
-  }
-  ~ScopedKernels() { internal::OverrideKernelsForTest(nullptr); }
-};
+using testutil::ScopedSimdLevel;
 
 // The documented contract: kernel sets agree within 1e-4 relative (floored
 // at 1 so near-zero values compare absolutely).
@@ -585,7 +577,7 @@ TEST(DistanceKernelsTest, FlatLakeResultsIdenticalScalarVsSimd) {
     std::vector<std::vector<std::string>> scalar_join, simd_join;
     std::vector<std::vector<std::string>> scalar_union, simd_union;
     {
-      ScopedKernels pin(ScalarKernels());
+      ScopedSimdLevel pin(SimdLevel::kScalar);
       for (const auto& q : f.join_queries) {
         scalar_join.push_back(lake.QueryJoinable(q, 10));
       }
@@ -594,7 +586,7 @@ TEST(DistanceKernelsTest, FlatLakeResultsIdenticalScalarVsSimd) {
       }
     }
     {
-      ScopedKernels pin(BestKernels());
+      ScopedSimdLevel pin(BestSimdLevel());
       for (const auto& q : f.join_queries) {
         simd_join.push_back(lake.QueryJoinable(q, 10));
       }
@@ -620,7 +612,7 @@ TEST(DistanceKernelsTest, Sq8LakeResultsIdenticalScalarVsSimd) {
     std::vector<std::vector<std::string>> scalar_join, simd_join;
     std::vector<std::vector<std::string>> scalar_union, simd_union;
     {
-      ScopedKernels pin(ScalarKernels());
+      ScopedSimdLevel pin(SimdLevel::kScalar);
       for (const auto& q : f.join_queries) {
         scalar_join.push_back(lake.QueryJoinable(q, 10));
       }
@@ -629,7 +621,7 @@ TEST(DistanceKernelsTest, Sq8LakeResultsIdenticalScalarVsSimd) {
       }
     }
     {
-      ScopedKernels pin(BestKernels());
+      ScopedSimdLevel pin(BestSimdLevel());
       for (const auto& q : f.join_queries) {
         simd_join.push_back(lake.QueryJoinable(q, 10));
       }
@@ -659,8 +651,8 @@ TEST(DistanceKernelsTest, HnswRecallUnchangedScalarVsSimd) {
       ++next;
     }
   }
-  auto recall_at_10 = [&](const KernelDispatch& kernels) {
-    ScopedKernels pin(kernels);
+  auto recall_at_10 = [&](SimdLevel level) {
+    ScopedSimdLevel pin(level);
     double sum = 0.0;
     for (const auto& q : f.join_queries) {
       std::unordered_set<size_t> gold;
@@ -671,8 +663,8 @@ TEST(DistanceKernelsTest, HnswRecallUnchangedScalarVsSimd) {
     }
     return sum / static_cast<double>(f.join_queries.size());
   };
-  const double scalar_recall = recall_at_10(ScalarKernels());
-  const double simd_recall = recall_at_10(BestKernels());
+  const double scalar_recall = recall_at_10(SimdLevel::kScalar);
+  const double simd_recall = recall_at_10(BestSimdLevel());
   EXPECT_GE(scalar_recall, 0.9);
   EXPECT_EQ(scalar_recall, simd_recall);
 }

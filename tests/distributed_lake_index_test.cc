@@ -334,6 +334,13 @@ TEST(DistributedFaultTest, NonFiniteTableIsRejectedBeforeAnyWorkerSeesIt) {
   // A bad query gets the answer the in-process coordinator gives.
   EXPECT_EQ(dist.QueryJoinable(bad, 5).status().code(),
             StatusCode::kInvalidArgument);
+  // So does a finite vector whose squared norm overflows float.
+  bad[2] = 1e20f;
+  rejected = dist.AddTable("huge", {bad});
+  EXPECT_NE(rejected.message().find("squared norm"), std::string::npos)
+      << rejected.ToString();
+  EXPECT_EQ(dist.QueryJoinable(bad, 5).status().code(),
+            StatusCode::kInvalidArgument);
 
   // Nothing reached a worker, so mutations are not fail-stopped: the next
   // valid one lands and ranks like the in-process twin's.

@@ -318,17 +318,22 @@ TEST(LakeIndexTest, NonFiniteRowFailsToLoadNamingTheTable) {
   const size_t at = bytes.find(needle);
   ASSERT_NE(at, std::string::npos);
   ASSERT_EQ(bytes.find(needle, at + 1), std::string::npos);
-  const float nan = std::nanf("");
-  bytes.replace(at, sizeof(nan), reinterpret_cast<const char*>(&nan),
-                sizeof(nan));
-  WriteAll(file.path(), bytes);
-  auto loaded = LakeIndex::Load(file.path());
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
-  const std::string message = loaded.status().ToString();
-  EXPECT_NE(message.find(file.path()), std::string::npos) << message;
-  EXPECT_NE(message.find("poisoned"), std::string::npos) << message;
-  EXPECT_NE(message.find("nan"), std::string::npos) << message;
+  // A NaN, and a finite component whose square overflows float.
+  for (const float poison : {std::nanf(""), 1e20f}) {
+    std::string poisoned = bytes;
+    poisoned.replace(at, sizeof(poison),
+                     reinterpret_cast<const char*>(&poison), sizeof(poison));
+    WriteAll(file.path(), poisoned);
+    auto loaded = LakeIndex::Load(file.path());
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+    const std::string message = loaded.status().ToString();
+    EXPECT_NE(message.find(file.path()), std::string::npos) << message;
+    EXPECT_NE(message.find("poisoned"), std::string::npos) << message;
+    EXPECT_NE(message.find(std::isnan(poison) ? "nan" : "squared norm"),
+              std::string::npos)
+        << message;
+  }
 }
 
 TEST(LakeIndexDeathTest, AddTableCheckFailsOnNonFiniteRow) {

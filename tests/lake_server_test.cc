@@ -431,11 +431,14 @@ TEST_F(LakeServerTest, NonFiniteVectorsGetInvalidArgumentAndClientSurvives) {
   LakeClient client;
   ASSERT_TRUE(client.Connect(socket_path_).ok());
   const std::vector<float>& good = corpus_.join_queries[0];
+  // 1e20 is finite, but its square overflows every float dot product.
   for (float poison : {std::numeric_limits<float>::quiet_NaN(),
-                       std::numeric_limits<float>::infinity()}) {
+                       std::numeric_limits<float>::infinity(), 1e20f}) {
     std::vector<float> bad = good;
     bad[kDim / 2] = poison;
-    const std::string what = std::isnan(poison) ? "nan" : "+inf";
+    const std::string what = std::isnan(poison)   ? "nan"
+                             : std::isinf(poison) ? "+inf"
+                                                  : "squared norm";
     auto expect_rejected = [&](const Status& status, const char* op) {
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
           << op << " " << what << ": " << status.ToString();

@@ -1,18 +1,31 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <limits>
+#include <thread>
 
 #include "nn/attention.h"
 #include "nn/embedding.h"
 #include "nn/linear.h"
+#include "nn/matmul_kernel.h"
 #include "nn/ops.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
 #include "nn/tensor.h"
 #include "nn/transformer.h"
+#include "util/random.h"
+#include "util/simd.h"
 
 namespace tsfm::nn {
 namespace {
+
+// Equal float bit patterns: -0.0 differs from +0.0, and NaNs compare by
+// payload.
+bool BytesEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
 
 // ----------------------------------------------------------------- Tensor
 
@@ -76,6 +89,82 @@ TEST(AutogradTest, DeepChainDoesNotOverflowStack) {
   for (int i = 0; i < 5000; ++i) h = Scale(h, 1.0f);
   Backward(SumAll(h));
   EXPECT_FLOAT_EQ(x->grad()[0], 1.0f);
+}
+
+TEST(AutogradTest, NoGradGuardBuildsNoTapeNestsAndRestores) {
+  Var w = MakeLeaf(Tensor(3, 2, 0.5f), true);
+  Var x = MakeLeaf(Tensor(2, 3, 1.5f), false);
+  auto forward = [&] { return Gelu(AddRow(MatMul(x, w), SelectRow(w, 0))); };
+  Var taped = forward();
+  ASSERT_TRUE(taped->requires_grad());
+  EXPECT_EQ(taped->parents().size(), 1u);
+  EXPECT_TRUE(taped->backward_fn());
+
+  {
+    NoGradGuard outer;
+    {
+      NoGradGuard inner;
+      EXPECT_FALSE(forward()->requires_grad());
+    }
+    EXPECT_FALSE(forward()->requires_grad())
+        << "the inner guard must restore the outer's state";
+    // The guard is per thread: another thread still builds the tape.
+    bool other_thread = false;
+    std::thread([&] { other_thread = forward()->requires_grad(); }).join();
+    EXPECT_TRUE(other_thread);
+
+    Var untaped = forward();
+    EXPECT_FALSE(untaped->requires_grad());
+    EXPECT_TRUE(untaped->parents().empty());
+    EXPECT_FALSE(untaped->backward_fn());
+    EXPECT_EQ(untaped->grad().size(), 0u);
+    EXPECT_TRUE(BytesEqual(untaped->value().flat(), taped->value().flat()));
+  }
+  EXPECT_TRUE(forward()->requires_grad());
+}
+
+// ---------------------------------------------------------- MatMul kernel
+
+TEST(MatMulKernelTest, BestKernelEqualsScalarLoopByteForByte) {
+  // The contract of matmul_kernel.h: each output is the scalar loop's
+  // value bit for bit, including where a zero in A (of either sign) must
+  // hide the inf or NaN in the row of B it faces. The strip widths (32, 8)
+  // and the scalar tail all get exercised by the n values.
+  const MatMulKernelFn scalar = MatMulKernel(SimdLevel::kScalar);
+  const MatMulKernelFn best = MatMulKernel(BestSimdLevel());
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(24);
+  for (size_t m : {1, 5}) {
+    for (size_t k : {0, 1, 17, 96}) {
+      for (size_t n : {1, 7, 8, 15, 16, 17, 31, 32, 33, 64, 100}) {
+        std::vector<float> a(m * k), b(k * n);
+        for (float& v : a) v = static_cast<float>(rng.Normal());
+        for (float& v : b) v = static_cast<float>(rng.Normal());
+        for (size_t kk = 0; kk < k; ++kk) {
+          float* brow = b.data() + kk * n;
+          if (kk % 3 == 1) {
+            // A poisoned row of B behind zeros of both signs in A.
+            const float poison = kk % 9 == 1 ? nan : kk % 9 == 4 ? inf : -inf;
+            for (size_t j = 0; j < n; j += 2) brow[j] = poison;
+            for (size_t i = 0; i < m; ++i) {
+              a[i * k + kk] = (i + kk) % 2 == 0 ? 0.0f : -0.0f;
+            }
+          } else if (kk % 3 == 2) {
+            brow[kk % n] = -0.0f;  // signed-zero products
+          }
+        }
+        // One all-zero row of A: every product skipped.
+        if (m > 1) std::fill(a.begin() + k, a.begin() + 2 * k, -0.0f);
+        std::vector<float> want(m * n, 0.0f), got(m * n, 0.0f);
+        scalar(a.data(), b.data(), m, k, n, want.data());
+        best(a.data(), b.data(), m, k, n, got.data());
+        EXPECT_TRUE(BytesEqual(got, want))
+            << SimdLevelName(BestSimdLevel()) << " m=" << m << " k=" << k
+            << " n=" << n;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- Modules

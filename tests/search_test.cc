@@ -398,7 +398,7 @@ TEST(PipelineTest, RunSearchMatchesExactOracle) {
   auto embed = [&](size_t t) { return embs[t]; };
 
   const KernelDispatch& kd = ScalarKernels();
-  internal::OverrideKernelsForTest(&kd);
+  testutil::ScopedSimdLevel pin(SimdLevel::kScalar);
   using Hits = std::vector<ColumnEmbeddingIndex::ColumnHit>;
   auto top_hits = [&](const std::vector<float>& query, Metric metric) {
     const float query_norm = std::sqrt(kd.dot(query.data(), query.data(), kDim));
@@ -445,7 +445,6 @@ TEST(PipelineTest, RunSearchMatchesExactOracle) {
           << shards << " shards, metric " << static_cast<int>(metric);
     }
   }
-  internal::OverrideKernelsForTest(nullptr);
 }
 
 TEST(PipelineTest, RandomEmbeddingsScoreLow) {

@@ -493,6 +493,18 @@ TEST(ShardedLakeIndexTest, NonFiniteTableIsRejectedAndChangesNoRanking) {
                                               RandomVec(&rng, dim)};
   poisoned[0][3] = std::numeric_limits<float>::quiet_NaN();
   poisoned[1][5] = std::numeric_limits<float>::infinity();
+  // Finite, but its squared norm overflows float: its own dot products
+  // came out inf or NaN and ranked an identical query's table last.
+  std::vector<std::vector<float>> huge = {RandomVec(&rng, dim),
+                                          RandomVec(&rng, dim)};
+  huge[1][0] = 1e20f;
+  // The bound is FLT_MAX / 8 on the squared norm, about 6.5e18 in one
+  // component.
+  std::vector<float> large(dim, 0.0f);
+  large[0] = 1e18f;
+  EXPECT_TRUE(CheckVectors({large}, dim).ok());
+  large[0] = 1e19f;
+  EXPECT_EQ(CheckVectors({large}, dim).code(), StatusCode::kInvalidArgument);
 
   for (Storage storage : {Storage::kFloat32, Storage::kSq8}) {
     for (Metric metric : {Metric::kCosine, Metric::kL2}) {
@@ -507,6 +519,13 @@ TEST(ShardedLakeIndexTest, NonFiniteTableIsRejectedAndChangesNoRanking) {
       EXPECT_NE(added.message().find("poisoned"), std::string::npos)
           << added.ToString();
       EXPECT_NE(added.message().find("component 3 is nan"), std::string::npos)
+          << added.ToString();
+      added = coordinator.AddTable("huge", huge);
+      EXPECT_EQ(added.code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(added.message().find("huge"), std::string::npos)
+          << added.ToString();
+      EXPECT_NE(added.message().find("column 1 has squared norm"),
+                std::string::npos)
           << added.ToString();
       for (size_t t = 0; t < tables.size(); ++t) {
         clean.AddTable("table_" + std::to_string(t), tables[t]);
@@ -523,6 +542,10 @@ TEST(ShardedLakeIndexTest, NonFiniteTableIsRejectedAndChangesNoRanking) {
       EXPECT_EQ(coordinator.QueryJoinable(poisoned[1], k).status().code(),
                 StatusCode::kInvalidArgument);
       EXPECT_EQ(coordinator.QueryUnionable(poisoned, k).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(coordinator.QueryJoinable(huge[1], k).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(coordinator.QueryUnionable(huge, k).status().code(),
                 StatusCode::kInvalidArgument);
       EXPECT_EQ(
           coordinator.QueryJoinable(std::vector<float>(dim + 1), k)

@@ -240,6 +240,40 @@ TEST(TableSketchTest, DistinctCellsKeepFirstSeenOrderUpToTheCount) {
   EXPECT_EQ(DistinctCells(col), (std::vector<std::string>{"b", "a", "c"}));
 }
 
+TEST(TableSketchTest, DistinctCellsArePrefixesOfTheProfile) {
+  // DistinctCells walks on its own and stops early; it must still return
+  // exactly the first n distinct cells of the full column walk.
+  lakebench::WikiJoinScale join;
+  join.num_tables = 20;
+  join.num_queries = 2;
+  lakebench::UnionSearchScale scale;
+  scale.num_seeds = 3;
+  scale.variants_per_seed = 4;
+  scale.num_queries = 2;
+  std::vector<Table> tables = lakebench::MakeWikiJoinSearch(join, 9).tables;
+  for (Table& t : lakebench::MakeUnionSearch(lakebench::DomainCatalog(42, 200),
+                                             scale, 9, "lake")
+                      .tables) {
+    tables.push_back(std::move(t));
+  }
+  size_t columns = 0;
+  for (const Table& table : tables) {
+    for (const Column& col : table.columns()) {
+      ++columns;
+      const std::vector<std::string_view> distinct = ProfileColumn(col).distinct;
+      for (size_t n : {size_t{0}, size_t{1}, size_t{5}, distinct.size(),
+                       kSketchCells}) {
+        const size_t want = std::min(n, distinct.size());
+        EXPECT_EQ(DistinctCells(col, n),
+                  std::vector<std::string>(distinct.begin(),
+                                           distinct.begin() + want))
+            << table.id() << "." << col.name << " n=" << n;
+      }
+    }
+  }
+  EXPECT_GT(columns, 60u);
+}
+
 TEST(TableSketchTest, ProfileWordsLowercaseAndSplit) {
   Column col;
   col.cells = {"New York", "new jersey"};

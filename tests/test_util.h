@@ -1,6 +1,7 @@
-// Shared helpers for the test suites: seeded random vector/table
-// generators, a temp-file RAII that also sweeps shard side files, a whole-
-// file reader, and the tie-aware recall@k used by the ANN acceptance bars.
+// Shared helpers for the test suites: a scoped kernel-level pin, seeded
+// random vector/table generators, a temp-file RAII that also sweeps shard
+// side files, a whole-file reader, and the tie-aware recall@k used by the
+// ANN acceptance bars.
 // Header-only on purpose — the test binaries are built one .cc at a time.
 #ifndef TSFM_TESTS_TEST_UTIL_H_
 #define TSFM_TESTS_TEST_UTIL_H_
@@ -18,8 +19,22 @@
 #include <vector>
 
 #include "util/random.h"
+#include "util/simd.h"
 
 namespace tsfm::testutil {
+
+/// Pins the process-wide kernel level (util/simd.h) for one scope, then
+/// restores the automatic choice. Every kernel family follows it: the
+/// distance kernels and nn::MatMul.
+class ScopedSimdLevel {
+ public:
+  explicit ScopedSimdLevel(SimdLevel level) {
+    internal::OverrideSimdLevelForTest(level);
+  }
+  ~ScopedSimdLevel() { internal::OverrideSimdLevelForTest(std::nullopt); }
+  ScopedSimdLevel(const ScopedSimdLevel&) = delete;
+  ScopedSimdLevel& operator=(const ScopedSimdLevel&) = delete;
+};
 
 inline std::vector<float> RandomVec(Rng* rng, size_t dim) {
   std::vector<float> v(dim);

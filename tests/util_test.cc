@@ -14,6 +14,7 @@
 #include "util/logging.h"
 #include "util/mutex.h"
 #include "util/random.h"
+#include "util/simd.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -487,19 +488,22 @@ TEST(LoggingTest, PoolThreadsLoggingThroughShutdownDoNotRace) {
 // ----------------------------------------------------- kernel env override
 
 TEST(KernelSelectionTest, ForceScalarEnvOverrideComposes) {
-  // LAKS_FORCE_SCALAR must force the scalar set on (re)selection and must
-  // not disturb BestKernels(), which parity tests use to reach SIMD in the
-  // same process. Composes with the TSan job: that build re-runs this test
-  // with the override exercised under the race detector.
+  // LAKS_FORCE_SCALAR must force the scalar level on (re)selection and
+  // must not disturb BestSimdLevel(), which parity tests use to reach SIMD
+  // in the same process. Both kernel families follow the one selection.
+  // Composes with the TSan job: that build re-runs this test with the
+  // override exercised under the race detector.
   const char* before = std::getenv("LAKS_FORCE_SCALAR");
   const std::string saved = before != nullptr ? before : "";
 
   ASSERT_EQ(setenv("LAKS_FORCE_SCALAR", "1", /*overwrite=*/1), 0);
-  search::internal::OverrideKernelsForTest(nullptr);  // force re-selection
+  internal::OverrideSimdLevelForTest(std::nullopt);  // force re-selection
+  EXPECT_EQ(ActiveSimdLevel(), SimdLevel::kScalar);
   EXPECT_EQ(&search::Kernels(), &search::ScalarKernels());
   // "0" and empty mean no override.
   ASSERT_EQ(setenv("LAKS_FORCE_SCALAR", "0", /*overwrite=*/1), 0);
-  search::internal::OverrideKernelsForTest(nullptr);
+  internal::OverrideSimdLevelForTest(std::nullopt);
+  EXPECT_EQ(ActiveSimdLevel(), BestSimdLevel());
   EXPECT_EQ(&search::Kernels(), &search::BestKernels());
 
   if (before != nullptr) {
@@ -507,11 +511,10 @@ TEST(KernelSelectionTest, ForceScalarEnvOverrideComposes) {
   } else {
     ASSERT_EQ(unsetenv("LAKS_FORCE_SCALAR"), 0);
   }
-  search::internal::OverrideKernelsForTest(nullptr);
-  EXPECT_EQ(&search::Kernels(),
-            search::internal::ForceScalarFromEnvForTest()
-                ? &search::ScalarKernels()
-                : &search::BestKernels());
+  internal::OverrideSimdLevelForTest(std::nullopt);
+  EXPECT_EQ(ActiveSimdLevel(), internal::ForceScalarFromEnvForTest()
+                                   ? SimdLevel::kScalar
+                                   : BestSimdLevel());
 }
 
 }  // namespace
